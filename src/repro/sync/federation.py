@@ -18,10 +18,14 @@ that keeps every client's view consistent:
   that are relevant to any subscriber homed on the destination shard
   (computed with the same :class:`~repro.sync.interest.InterestManager`
   policy the shards use, delta-encoded by a
-  :class:`~repro.sync.delta.DeltaEncoder` so only changed states cross
-  the WAN); forwarded states materialize as *ghost* entities in the
-  destination world, where the destination shard's own interest/delta
-  tick serves them to its subscribers;
+  :class:`~repro.sync.delta.BatchDeltaEncoder` so only changed states
+  cross the WAN); forwarded states materialize as *ghost* entities in
+  the destination world, where the destination shard's own
+  interest/delta tick serves them to its subscribers;
+* a source shard's outgoing relays fire together as one **relay round**
+  (:meth:`ShardedSyncService.relay_round`): one local block, one
+  interest query over every destination's subjects and one encode, with
+  each destination its own encoder row;
 * relays piggyback a *subscriber digest* (the positions of the home
   subscribers of the sending shard) so the reverse relay knows which
   remote subjects to compute relevance for — interest aggregation is
@@ -58,7 +62,9 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +81,7 @@ from repro.net.packet import Packet
 from repro.sensing.quantize import QuantizationConfig
 from repro.simkit.engine import Simulator
 from repro.sync.client import SyncClient
-from repro.sync.delta import OWNER_LOCAL, BatchDeltaEncoder, DeltaEncoder
+from repro.sync.delta import OWNER_LOCAL, BatchDeltaEncoder
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
@@ -83,6 +89,7 @@ from repro.sync.server import ServerCostModel, SyncServer
 
 _QUANT = QuantizationConfig()
 _ORIGIN = np.zeros(3)
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: Wire bytes per subscriber-digest entry: 8-byte id hash + 3 x 4-byte
 #: quantized coordinates.
@@ -128,11 +135,14 @@ class ShardDelta:
 class ShardRelay:
     """The directed federation pipe from one shard to another.
 
-    Every firing recomputes which source-homed entities any destination
-    subscriber cares about (one batch interest query against the latest
-    digest received from the other side), delta-encodes the answer
-    against what this relay last forwarded, and ships the result plus
-    the source's own subscriber digest over the inter-shard link.
+    A relay owns the per-pair wire state — its inter-shard link, message
+    sequence, counters and the latest subscriber digest received from
+    the destination — while the source-side work of a firing is shared:
+    :meth:`ShardedSyncService.relay_round` serves every relay of one
+    source shard from one local block, one interest query and one delta
+    encode.  ``encoder`` is the :class:`~repro.sync.delta.BatchDeltaEncoder`
+    holding this relay's row (keyed by destination site); relays that
+    share an encoder always fire together.
     """
 
     def __init__(
@@ -141,20 +151,13 @@ class ShardRelay:
         src_site: str,
         dst_site: str,
         link: Link,
-        interest: InterestManager,
-        encoder: DeltaEncoder,
-        profiler=None,
+        encoder: BatchDeltaEncoder,
     ):
         self.service = service
         self.src_site = src_site
         self.dst_site = dst_site
         self.link = link
-        self.interest = interest
         self.encoder = encoder
-        if profiler is None:
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        self.profiler = profiler
         #: Latest digest from the destination: its home subscribers'
         #: positions, the subjects this relay computes relevance for.
         self.remote_subjects: Dict[str, np.ndarray] = {}
@@ -162,92 +165,18 @@ class ShardRelay:
         self.deltas_sent = 0
         self.states_forwarded = 0
         self.bytes_sent = 0
-        #: Set when either endpoint is decommissioned; the relay process
-        #: exits on its next wake and in-flight fires become no-ops.
+        #: Set when either endpoint is decommissioned; relay rounds skip
+        #: the relay from then on.
         self.stopped = False
 
-    def _encode_scalar(self, src) -> tuple:
-        """Scalar relay round: id-set interest + per-entity delta encode."""
-        local = self.service.local_entities(self.src_site)
-        relevant: Set[str] = set()
-        if self.remote_subjects and local:
-            positions = {
-                entity_id: state.pose.position
-                for entity_id, state in local.items()
-            }
-            for subject_set in self.interest.relevant_batch(
-                    positions, self.remote_subjects).values():
-                relevant |= subject_set
-        states, removed, full = self.encoder.encode(
-            self.dst_site, src.world, relevant)
-        return [state.copy() for state in states], removed, full, None
-
-    def _encode_batch(self, src) -> tuple:
-        """SoA relay round: the source-local slot block feeds the
-        vectorized interest core directly; the union of every remote
-        subject's CSR row is delta-encoded in one
-        :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` call
-        with this relay's destination as the single subscriber row."""
-        world = src.world
-        ids, slots, points = self.service.local_soa(self.src_site)
-        if self.remote_subjects and len(slots):
-            subject_points = np.stack([
-                np.asarray(p, dtype=float)
-                for p in self.remote_subjects.values()
-            ])
-            no_self = np.full(len(subject_points), -1, dtype=np.int64)
-            always_rows = np.flatnonzero(np.fromiter(
-                (entity_id in self.interest.config.always_relevant
-                 for entity_id in ids), dtype=bool, count=len(ids)))
-            ranks = np.empty(len(ids), dtype=np.int64)
-            ranks[np.argsort(np.asarray(ids, dtype=object))] = np.arange(
-                len(ids), dtype=np.int64)
-            offsets, flat = self.interest.relevant_indices_batch(
-                points, subject_points, no_self, always_rows, ranks)
-            rel_slots = slots[np.unique(flat)] if len(flat) else \
-                np.empty(0, dtype=np.int64)
-        else:
-            rel_slots = np.empty(0, dtype=np.int64)
-        send_mask, full_flags, removed_lists = self.encoder.encode_batch(
-            world, [self.dst_site],
-            np.array([0, len(rel_slots)], dtype=np.int64), rel_slots)
-        sent_slots = rel_slots[send_mask]
-        states = [world.state_at(s).copy() for s in sent_slots.tolist()]
-        states_bytes = int(world.wire_sizes[sent_slots].sum())
-        return states, removed_lists[0], bool(full_flags[0]), states_bytes
-
     def fire(self) -> Optional[ShardDelta]:
-        """One relay round; returns the delta sent (None when idle)."""
+        """A relay round of one; returns the delta sent (None when idle)."""
+        return self.service.relay_round([self])[0]
+
+    def send_delta(self, delta: ShardDelta) -> ShardDelta:
+        """Put one encoded delta (stamped with :attr:`seq`) on the
+        inter-shard link and count it."""
         service = self.service
-        if self.stopped:
-            return None
-        src = service.shards.get(self.src_site)
-        if src is None or src.crashed:
-            return None
-        prof = self.profiler
-        if prof.enabled:
-            prof.begin("relay_encode")
-        if isinstance(self.encoder, BatchDeltaEncoder):
-            states, removed, full, states_bytes = self._encode_batch(src)
-        else:
-            states, removed, full, states_bytes = self._encode_scalar(src)
-        digest = service.home_subscriber_digest(self.src_site)
-        if not states and not removed and not digest:
-            if prof.enabled:
-                prof.end()
-            return None
-        if prof.enabled:
-            prof.switch("relay_send")
-        delta = ShardDelta(
-            src_site=self.src_site,
-            dst_site=self.dst_site,
-            seq=self.seq,
-            states=states,
-            removed=removed,
-            subscribers=digest,
-            full=full,
-            cached_states_bytes=states_bytes,
-        )
         self.seq += 1
         packet = Packet(
             src=self.src_site, dst=self.dst_site,
@@ -258,7 +187,7 @@ class ShardRelay:
         if service.sim.obs.enabled:
             traced = {
                 state.participant_id: service._traced[state.participant_id]
-                for state in states
+                for state in delta.states
                 if state.participant_id in service._traced
             }
             if traced:
@@ -266,11 +195,9 @@ class ShardRelay:
                 packet.meta["obs_ctx"] = next(iter(traced.values()))
                 packet.meta["obs_stage"] = "shard_relay"
         self.deltas_sent += 1
-        self.states_forwarded += len(states)
+        self.states_forwarded += len(delta.states)
         self.bytes_sent += delta.size_bytes
         self.link.send(packet, service._on_shard_delta_packet)
-        if prof.enabled:
-            prof.end()
         return delta
 
 
@@ -327,7 +254,6 @@ class ShardedSyncService:
         default_inter_shard_delay: float = 0.02,
         default_access_delay: float = 0.005,
         name: str = "fed",
-        vectorized: bool = True,
         profiler=None,
     ):
         if not plan.sites:
@@ -371,7 +297,6 @@ class ShardedSyncService:
         #: stops a relay from echoing a ghost back to where it came from.
         self.entity_home: Dict[str, str] = {}
         self.clients: Dict[str, FederatedClient] = {}
-        self.vectorized = vectorized
         if profiler is None:
             from repro.obs.profiler import NOOP_PROFILER
             profiler = NOOP_PROFILER
@@ -389,12 +314,18 @@ class ShardedSyncService:
         self.shards: Dict[str, SyncServer] = {
             site: self._make_shard(site) for site in plan.sites
         }
+        #: Stateless interest policy for every relay round (the shards
+        #: each hold their own for the tick).
+        self._relay_interest = InterestManager(self.interest_config)
         self.relays: Dict[Tuple[str, str], ShardRelay] = {}
         for src in plan.sites:
+            # One encoder per source: its relays fire as one round.
+            encoder = BatchDeltaEncoder(
+                keyframe_interval=self._keyframe_interval)
             for dst in plan.sites:
-                if src == dst:
-                    continue
-                self.relays[(src, dst)] = self._make_relay(src, dst)
+                if src != dst:
+                    self.relays[(src, dst)] = self._make_relay(
+                        src, dst, encoder)
         self._access_links: Dict[Tuple[str, str, str], Link] = {}
         #: Latest span context per traced entity (obs enabled only).
         self._traced: Dict[str, Any] = {}
@@ -411,27 +342,20 @@ class ShardedSyncService:
             interest=InterestManager(self.interest_config),
             cost_model=self._cost_model,
             keyframe_interval=self._keyframe_interval,
-            vectorized=self.vectorized,
             profiler=self.profiler,
         )
 
-    def _make_relay(self, src: str, dst: str) -> ShardRelay:
+    def _make_relay(self, src: str, dst: str,
+                    encoder: Optional[BatchDeltaEncoder] = None) -> ShardRelay:
+        if encoder is None:
+            encoder = BatchDeltaEncoder(
+                keyframe_interval=self._keyframe_interval)
         link = Link(
             self.sim, self._inter_shard_rate_bps,
             self._inter_shard_delay(src, dst),
             name=f"{self.name}:{src}->{dst}",
         )
-        relay_encoder = (
-            BatchDeltaEncoder(keyframe_interval=self._keyframe_interval)
-            if self.vectorized
-            else DeltaEncoder(keyframe_interval=self._keyframe_interval)
-        )
-        return ShardRelay(
-            self, src, dst, link,
-            interest=InterestManager(self.interest_config),
-            encoder=relay_encoder,
-            profiler=self.profiler,
-        )
+        return ShardRelay(self, src, dst, link, encoder)
 
     # -- geography ---------------------------------------------------------
 
@@ -602,6 +526,8 @@ class ShardedSyncService:
             if other == site:
                 continue
             for src, dst in ((site, other), (other, site)):
+                # Own encoder: these relays fire out of phase with the
+                # source's existing ones.
                 relay = self._make_relay(src, dst)
                 self.relays[(src, dst)] = relay
                 new_relays.append(relay)
@@ -609,8 +535,7 @@ class ShardedSyncService:
                 self.sim.now < self._run_until - 1e-12:
             remaining = self._run_until - self.sim.now
             shard.run(duration=remaining)
-            for relay in new_relays:
-                self._relay_process(relay, remaining)
+            self._relay_processes(new_relays, remaining)
         self.metrics.incr("sites_provisioned")
         return shard
 
@@ -646,7 +571,9 @@ class ShardedSyncService:
                     key=lambda s: (self.access_delay(user_id, s), s))
                 self.plan.assignment[user_id] = self.home[user_id]
         for key in [k for k in self.relays if site in k]:
-            self.relays.pop(key).stopped = True
+            relay = self.relays.pop(key)
+            relay.stopped = True
+            relay.encoder.forget(relay.dst_site)
         self.shards.pop(site).stop()
         if site in self.plan.sites:
             self.plan.sites.remove(site)
@@ -771,8 +698,10 @@ class ShardedSyncService:
     # -- federation ------------------------------------------------------------
 
     def local_soa(self, site: str) -> tuple:
-        """``(ids, slots, points)`` of the entities authoritative on
-        ``site``, straight off the shard world's SoA arrays.
+        """``(ids, rows, slots, points)`` of the entities authoritative on
+        ``site``, straight off the shard world's SoA arrays (``rows``
+        index the world's :meth:`~repro.sync.delta.WorldState.compact`
+        order, so they also index its cached ``lexicographic_ranks``).
 
         The world's ``owners`` array screens out relay ghosts (tagged
         with their home shard's code) in one vectorized compare; only the
@@ -789,16 +718,7 @@ class ShardedSyncService:
             if entity_home.get(ids[row]) == site
         ]
         rows = np.asarray(keep, dtype=np.int64)
-        return [ids[row] for row in keep], slots[rows], points[rows]
-
-    def local_entities(self, site: str) -> Dict[str, Any]:
-        """Entities authoritative on ``site`` (ghost copies excluded)."""
-        world = self.shards[site].world
-        ids, slots, _points = self.local_soa(site)
-        return {
-            entity_id: world.state_at(slot)
-            for entity_id, slot in zip(ids, slots.tolist())
-        }
+        return [ids[row] for row in keep], rows, slots[rows], points[rows]
 
     def home_subscriber_digest(self, site: str) -> Dict[str, np.ndarray]:
         """Positions of the clients homed on ``site`` (relay subjects).
@@ -839,19 +759,99 @@ class ShardedSyncService:
         self.metrics.incr("shard_deltas_delivered")
         self.metrics.incr("shard_states_applied", len(delta.states))
 
-    def _relay_process(self, relay: ShardRelay, duration: float):
+    def relay_round(
+        self, relays: Sequence[ShardRelay]
+    ) -> List[Optional[ShardDelta]]:
+        """Fire relays out of one source shard as one round.
+
+        The source's local block, id ranks, always-relevant mask and
+        subscriber digest are gathered once; one interest query runs
+        over every destination's remote subjects stacked together, and
+        its CSR, split back per destination, feeds one
+        :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` call
+        with one encoder row per destination.  Rows are independent, so
+        each destination gets exactly the delta (keyframe cadence and
+        removals included) it would get firing alone.  ``relays`` must
+        share one encoder; deltas go out in their order.  Returns the
+        delta sent per relay (None: stopped, source down, or idle).
+        """
+        sent: List[Optional[ShardDelta]] = [None] * len(relays)
+        live = [i for i, relay in enumerate(relays) if not relay.stopped]
+        if not live:
+            return sent
+        encoder = relays[live[0]].encoder
+        if any(relay.encoder is not encoder for relay in relays):
+            raise ValueError("a relay round needs relays sharing an encoder")
+        src_site = relays[live[0]].src_site
+        src = self.shards.get(src_site)
+        if src is None or src.crashed:
+            return sent
+        prof = self.profiler
+        if prof.enabled:
+            prof.begin("relay_encode")
+        world = src.world
+        ids, rows, slots, points = self.local_soa(src_site)
+        subjects = [list(relays[i].remote_subjects.values()) if len(slots)
+                    else [] for i in live]
+        bounds = np.cumsum([0] + [len(points_) for points_ in subjects])
+        rel_slots = [_NO_SLOTS] * len(live)
+        if bounds[-1]:
+            always = self.interest_config.always_relevant
+            offsets, flat = self._relay_interest.relevant_indices_batch(
+                points,
+                np.stack([np.asarray(p, dtype=float)
+                          for points_ in subjects for p in points_]),
+                np.full(bounds[-1], -1, dtype=np.int64),
+                np.flatnonzero([entity_id in always for entity_id in ids]),
+                world.lexicographic_ranks()[rows])
+            cuts = offsets[bounds].tolist()
+            rel_slots = [slots[np.unique(flat[lo:hi])] if hi > lo
+                         else _NO_SLOTS for lo, hi in zip(cuts, cuts[1:])]
+        enc_offsets = np.cumsum([0] + [len(block) for block in rel_slots])
+        send_mask, full_flags, removed_lists = encoder.encode_batch(
+            world, [relays[i].dst_site for i in live], enc_offsets,
+            np.concatenate(rel_slots))
+        digest = self.home_subscriber_digest(src_site)
+        if prof.enabled:
+            prof.switch("relay_send")
+        for j, i in enumerate(live):
+            sent_slots = rel_slots[j][
+                send_mask[enc_offsets[j]:enc_offsets[j + 1]]]
+            states = [world.state_at(s).copy() for s in sent_slots.tolist()]
+            if states or removed_lists[j] or digest:
+                sent[i] = relays[i].send_delta(ShardDelta(
+                    src_site, relays[i].dst_site, relays[i].seq,
+                    states, removed_lists[j], dict(digest),
+                    full=bool(full_flags[j]),
+                    cached_states_bytes=int(
+                        world.wire_sizes[sent_slots].sum())))
+        if prof.enabled:
+            prof.end()
+        return sent
+
+    def _relay_process(self, relays: List[ShardRelay], duration: float):
         def body():
             end = self.sim.now + duration
             while self.sim.now < end - 1e-12:
-                if relay.stopped:
-                    break  # endpoint decommissioned mid-run
-                relay.fire()
+                if all(relay.stopped for relay in relays):
+                    break  # endpoints decommissioned mid-run
+                self.relay_round(relays)
                 delay = self.relay_period
                 if self.sim.now + delay > end:
                     delay = max(0.0, end - self.sim.now)
                 yield self.sim.timeout(delay)
 
         return self.sim.process(body())
+
+    def _relay_processes(
+        self, relays: Sequence[ShardRelay], duration: float
+    ) -> list:
+        """One relay process per maximal run of consecutive relays that
+        share an encoder — relays that always fire in the same instant."""
+        return [
+            self._relay_process(list(run), duration)
+            for _encoder, run in groupby(relays, key=attrgetter("encoder"))
+        ]
 
     def start(self, duration: float) -> list:
         """Arm every shard's tick loop and every relay for ``duration``."""
@@ -861,8 +861,8 @@ class ShardedSyncService:
         processes = [
             shard.run(duration=duration) for shard in self.shards.values()
         ]
-        for key in sorted(self.relays):
-            processes.append(self._relay_process(self.relays[key], duration))
+        processes.extend(self._relay_processes(
+            [self.relays[key] for key in sorted(self.relays)], duration))
         return processes
 
     # -- measurement ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pinned wire traces of the federation's relay traffic.
+"""Relay rounds: pinned wire traces and round-vs-single-fire twins.
 
 Every ``Link.send`` of three seeded federation scenarios is folded into
 one sha256: send time, link name, packet kind and size, and for shard
@@ -36,20 +36,23 @@ pytestmark = pytest.mark.federation
 SEATED = InterestConfig(radius_m=5.0, max_entities=32)
 
 
+def _delta_record(delta):
+    return (
+        delta.src_site, delta.dst_site, delta.seq, delta.full,
+        [(state.participant_id, getattr(state, "epoch", 0), state.seq,
+          repr(state.pose.position.tolist()))
+         for state in delta.states],
+        list(delta.removed),
+        [(user_id, repr(np.asarray(position).tolist()))
+         for user_id, position in delta.subscribers.items()],
+        delta.size_bytes,
+    )
+
+
 def _send_record(link, packet):
     record = (repr(link.sim.now), link.name, packet.kind, packet.size_bytes)
-    delta = packet.payload
-    if isinstance(delta, ShardDelta):
-        record += (
-            delta.src_site, delta.dst_site, delta.seq, delta.full,
-            [(state.participant_id, getattr(state, "epoch", 0), state.seq,
-              repr(state.pose.position.tolist()))
-             for state in delta.states],
-            list(delta.removed),
-            [(user_id, repr(np.asarray(position).tolist()))
-             for user_id, position in delta.subscribers.items()],
-            delta.size_bytes,
-        )
+    if isinstance(packet.payload, ShardDelta):
+        record += _delta_record(packet.payload)
     return record
 
 
@@ -172,3 +175,88 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_relay_wire_trace_is_pinned(name):
     assert wire_trace(SCENARIOS[name]) == PINNED[name]
+
+
+def _twin_deltas(use_round, seed=21, duration=1.2):
+    """Drive every relay by hand at 100 Hz: each source's relays either
+    as one :meth:`relay_round` or one :meth:`ShardRelay.fire` at a time.
+    A voluntary move mid-run makes relevance (and removals) change."""
+    population = sample_worldwide(12, np.random.default_rng(7))
+    sim = Simulator(seed=seed)
+    service = ShardedSyncService(
+        sim, plan_regions(population, k=4), population,
+        interest_config=SEATED, relay_rate_hz=100.0)
+    users = sorted(u.user_id for u in population.users)
+    _seat(sim, service, users, duration)
+    for shard in service.shards.values():
+        shard.run(duration=duration)
+    records = []
+
+    def driver():
+        moved = False
+        while sim.now < duration - 1e-12:
+            if not moved and sim.now >= 0.6:
+                moved = True
+                home = service.clients[users[0]].home
+                service.move_user(
+                    users[0], min(s for s in service.shards if s != home))
+            for src in sorted(service.shards):
+                relays = [service.relays[key]
+                          for key in sorted(service.relays) if key[0] == src]
+                if use_round:
+                    deltas = service.relay_round(relays)
+                else:
+                    deltas = [relay.fire() for relay in relays]
+                records.extend(None if delta is None else _delta_record(delta)
+                               for delta in deltas)
+            yield sim.timeout(0.01)
+
+    sim.process(driver())
+    sim.run()
+    return records
+
+
+def test_relay_round_equals_firing_each_relay_alone():
+    rounds = _twin_deltas(use_round=True)
+    singles = _twin_deltas(use_round=False)
+    assert rounds == singles
+    sent = [record for record in rounds if record is not None]
+    # The comparison covered real traffic: states, keyframes, removals.
+    assert sum(len(record[4]) for record in sent) > 100
+    assert any(record[3] for record in sent)
+    assert any(record[5] for record in sent)
+
+
+def test_start_arms_one_relay_process_per_source():
+    sim = Simulator(seed=1)
+    population = sample_worldwide(8, np.random.default_rng(3))
+    service = ShardedSyncService(
+        sim, plan_regions(population, k=4), population)
+    processes = service.start(1.0)
+    assert len(service.relays) == 12
+    assert len(processes) == 4 + 4  # shard ticks + one round per source
+
+
+def test_relay_round_rejects_relays_of_different_encoders():
+    sim = Simulator(seed=1)
+    population = sample_worldwide(8, np.random.default_rng(3))
+    service = ShardedSyncService(
+        sim, plan_regions(population, k=3), population)
+    src_a, src_b = sorted(service.shards)[:2]
+    mixed = [relay for (src, _dst), relay in sorted(service.relays.items())
+             if src in (src_a, src_b)]
+    with pytest.raises(ValueError, match="sharing an encoder"):
+        service.relay_round(mixed)
+
+
+def test_decommission_forgets_the_destination_row():
+    sim, service = scenario_elastic()
+    sim.run(until=1.0)
+    relay = service.relays[("s0", "s1")]
+    world = service.shards["s0"].world
+    seen = [entity for entity in sorted(world.entities)
+            if relay.encoder.acked_seq("s1", entity, world) is not None]
+    assert seen
+    service.drain_site("s1")
+    assert all(relay.encoder.acked_seq("s1", entity, world) is None
+               for entity in seen)
