@@ -88,7 +88,6 @@ from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 
 _QUANT = QuantizationConfig()
-_ORIGIN = np.zeros(3)
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: Wire bytes per subscriber-digest entry: 8-byte id hash + 3 x 4-byte
@@ -725,19 +724,19 @@ class ShardedSyncService:
 
         Clients that have not yet published an entity query from the
         origin — matching what the shard's own tick assumes for a
-        subscriber without a world entity.  Positions are rows of the
-        world's SoA position block, not ``state.pose`` attribute chains.
+        subscriber without a world entity.  The positions are gathered
+        into one fresh block, so a sent digest is a snapshot: it neither
+        tracks later moves in the source world nor freezes when the
+        world's arrays are reallocated.
         """
         world = self.shards[site].world
-        digest: Dict[str, np.ndarray] = {}
-        for user_id, federated in self.clients.items():
-            if federated.home != site:
-                continue
-            slot = world.slot_of(user_id)
-            digest[user_id] = (
-                world.positions_arr[slot] if slot is not None else _ORIGIN
-            )
-        return digest
+        homed = [user_id for user_id, federated in self.clients.items()
+                 if federated.home == site]
+        slots = [world.slot_of(user_id) for user_id in homed]
+        present = [j for j, slot in enumerate(slots) if slot is not None]
+        block = np.zeros((len(homed), 3))
+        block[present] = world.positions_arr[[slots[j] for j in present]]
+        return dict(zip(homed, block))
 
     def _on_shard_delta_packet(self, packet: Packet) -> None:
         delta: ShardDelta = packet.payload

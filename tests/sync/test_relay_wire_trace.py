@@ -18,7 +18,9 @@ import pytest
 
 from repro.cloud.regions import RegionalPlan, plan_regions
 from repro.net.faults import FaultInjector, ServerCrashSchedule
+from repro.avatar.state import AvatarState
 from repro.net.link import Link
+from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import (
     ShardDelta,
@@ -260,3 +262,21 @@ def test_decommission_forgets_the_destination_row():
     service.drain_site("s1")
     assert all(relay.encoder.acked_seq("s1", entity, world) is None
                for entity in seen)
+
+
+def test_sent_digest_does_not_track_the_source_world():
+    """A digest is the home subscribers' positions at send time.  It
+    used to hold views into the source world's position block, so a
+    delivered digest kept following the source after the send."""
+    sim, service = scenario_elastic()
+    sim.run(until=0.3)
+    delta = service.relays[("s0", "s2")].fire()
+    sent = {user: np.array(position)
+            for user, position in delta.subscribers.items()}
+    world = service.shards["s0"].world
+    assert sent and all(user in world for user in sent)
+    for user in sent:
+        world.apply(AvatarState(user, sim.now, Pose(
+            position=np.array([40.0, 40.0, 1.2])), seq=10**6))
+    assert all(np.array_equal(delta.subscribers[user], position)
+               for user, position in sent.items())
