@@ -21,11 +21,8 @@ that keeps every client's view consistent:
   :class:`~repro.sync.delta.BatchDeltaEncoder` so only changed states
   cross the WAN); forwarded states materialize as *ghost* entities in
   the destination world, where the destination shard's own
-  interest/delta tick serves them to its subscribers;
-* a source shard's outgoing relays fire together as one **relay round**
-  (:meth:`ShardedSyncService.relay_round`): one local block, one
-  interest query over every destination's subjects and one encode, with
-  each destination its own encoder row;
+  interest/delta tick serves them to its subscribers (a source shard's
+  relays fire together as one :meth:`ShardedSyncService.relay_round`);
 * relays piggyback a *subscriber digest* (the positions of the home
   subscribers of the sending shard) so the reverse relay knows which
   remote subjects to compute relevance for — interest aggregation is
@@ -62,7 +59,7 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -724,19 +721,18 @@ class ShardedSyncService:
 
         Clients that have not yet published an entity query from the
         origin — matching what the shard's own tick assumes for a
-        subscriber without a world entity.  The positions are gathered
-        into one fresh block, so a sent digest is a snapshot: it neither
-        tracks later moves in the source world nor freezes when the
-        world's arrays are reallocated.
+        subscriber without a world entity.  Positions are copies, so a
+        sent digest is a snapshot: it neither tracks later moves in the
+        source world nor freezes when the world's arrays are reallocated.
         """
         world = self.shards[site].world
-        homed = [user_id for user_id, federated in self.clients.items()
-                 if federated.home == site]
-        slots = [world.slot_of(user_id) for user_id in homed]
-        present = [j for j, slot in enumerate(slots) if slot is not None]
-        block = np.zeros((len(homed), 3))
-        block[present] = world.positions_arr[[slots[j] for j in present]]
-        return dict(zip(homed, block))
+        digest: Dict[str, np.ndarray] = {}
+        for user_id, federated in self.clients.items():
+            if federated.home == site:
+                slot = world.slot_of(user_id)
+                digest[user_id] = (world.positions_arr[slot].copy()
+                                   if slot is not None else np.zeros(3))
+        return digest
 
     def _on_shard_delta_packet(self, packet: Packet) -> None:
         delta: ShardDelta = packet.payload
@@ -792,21 +788,21 @@ class ShardedSyncService:
         ids, rows, slots, points = self.local_soa(src_site)
         subjects = [list(relays[i].remote_subjects.values()) if len(slots)
                     else [] for i in live]
-        bounds = np.cumsum([0] + [len(points_) for points_ in subjects])
+        bounds = list(accumulate(map(len, subjects), initial=0))
         rel_slots = [_NO_SLOTS] * len(live)
         if bounds[-1]:
             always = self.interest_config.always_relevant
             offsets, flat = self._relay_interest.relevant_indices_batch(
                 points,
                 np.stack([np.asarray(p, dtype=float)
-                          for points_ in subjects for p in points_]),
+                          for block in subjects for p in block]),
                 np.full(bounds[-1], -1, dtype=np.int64),
                 np.flatnonzero([entity_id in always for entity_id in ids]),
                 world.lexicographic_ranks()[rows])
             cuts = offsets[bounds].tolist()
             rel_slots = [slots[np.unique(flat[lo:hi])] if hi > lo
                          else _NO_SLOTS for lo, hi in zip(cuts, cuts[1:])]
-        enc_offsets = np.cumsum([0] + [len(block) for block in rel_slots])
+        enc_offsets = list(accumulate(map(len, rel_slots), initial=0))
         send_mask, full_flags, removed_lists = encoder.encode_batch(
             world, [relays[i].dst_site for i in live], enc_offsets,
             np.concatenate(rel_slots))

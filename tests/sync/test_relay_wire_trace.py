@@ -20,6 +20,7 @@ from repro.cloud.regions import RegionalPlan, plan_regions
 from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.avatar.state import AvatarState
 from repro.net.link import Link
+from repro.obs.profiler import TickProfiler
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import (
@@ -157,7 +158,8 @@ def wire_trace(build):
     return digest.hexdigest(), counts["sends"], counts["shard_deltas"]
 
 
-#: Recorded on the per-pair relay implementation these tests guard.
+#: Recorded with one relay process per directed shard pair; relay rounds
+#: must reproduce every send byte for byte.
 PINNED = {
     "c3f": ("6fb8c65d3e551bea805d1bd705cc223998a67ad4ba527f856aed361f06b8e5c8",
             3208, 1800),
@@ -239,6 +241,24 @@ def test_start_arms_one_relay_process_per_source():
     assert len(processes) == 4 + 4  # shard ticks + one round per source
 
 
+def test_profiler_records_relay_encode_once_per_round():
+    population = sample_worldwide(12, np.random.default_rng(7))
+    sim = Simulator(seed=2)
+    profiler = TickProfiler()
+    service = ShardedSyncService(
+        sim, plan_regions(population, k=4), population,
+        interest_config=SEATED, relay_rate_hz=100.0, profiler=profiler)
+    _seat(sim, service, sorted(u.user_id for u in population.users), 0.3)
+    service.start(0.3)
+    sim.run()
+    phases = profiler.phases
+    deltas = sum(relay.deltas_sent for relay in service.relays.values())
+    # Every shard has homed clients, so each round sends k-1 deltas.
+    assert deltas == 3 * phases["relay_encode"].count > 0
+    assert phases["relay_send"].count == phases["relay_encode"].count
+    assert profiler.open_phases == 0
+
+
 def test_relay_round_rejects_relays_of_different_encoders():
     sim = Simulator(seed=1)
     population = sample_worldwide(8, np.random.default_rng(3))
@@ -265,9 +285,9 @@ def test_decommission_forgets_the_destination_row():
 
 
 def test_sent_digest_does_not_track_the_source_world():
-    """A digest is the home subscribers' positions at send time.  It
-    used to hold views into the source world's position block, so a
-    delivered digest kept following the source after the send."""
+    """A digest is the home subscribers' positions at send time: if it
+    aliased the source world's position block, a delivered digest would
+    keep following the source after the send."""
     sim, service = scenario_elastic()
     sim.run(until=0.3)
     delta = service.relays[("s0", "s2")].fire()
