@@ -4,8 +4,8 @@ The span tracer answers *where a pose update's milliseconds went* across
 the pipeline; it says nothing about where the **server's** compute goes
 inside one tick.  This module adds that second axis: monotonic-clock
 phase timers (``apply`` / ``interest`` / ``delta`` / ``serialize`` in
-:class:`~repro.sync.server.SyncServer`, ``relay_encode`` /
-``relay_send`` in :class:`~repro.sync.federation.ShardRelay`) with
+:class:`~repro.sync.server.SyncServer`, ``relay_encode`` once per relay
+round of a source shard, then ``relay_send``) with
 *self-time* accounting — a phase's recorded time excludes any nested
 phases, so the hot-phase table sums to the tick instead of
 double-counting parents.
