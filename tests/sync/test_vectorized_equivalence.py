@@ -12,6 +12,8 @@ refactor (keyframe cadence off-by-one, instantaneous-count egress
 division, and the stale-seq freeze of crash/rejoin clients).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,12 @@ from repro.simkit import Simulator
 from repro.sync.client import SyncClient
 from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
 from repro.sync.federation import ShardedSyncService
-from repro.sync.interest import InterestConfig, InterestManager, naive_relevant
+from repro.sync.interest import (
+    BroadcastInterest,
+    InterestConfig,
+    InterestManager,
+    naive_relevant,
+)
 from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import ServerCostModel, SyncServer
@@ -177,17 +184,24 @@ def test_interest_csr_matches_naive_oracle(seed):
 # -- server path equivalence --------------------------------------------------
 
 
-def _run_server_scenario(vectorized, seed, keyframe_interval):
+def _make_interest(kind):
+    if kind == "broadcast":
+        return BroadcastInterest()
+    return InterestManager(InterestConfig(
+        radius_m=6.0, max_entities=4, always_relevant=frozenset({"e0"})))
+
+
+def _run_server_scenario(vectorized, seed, keyframe_interval,
+                         interest="grid"):
     """One seeded server run with entity + subscriber churn; returns the
-    canonical per-client snapshot streams."""
+    canonical per-client snapshot streams and the server."""
     sim = Simulator(seed=seed)
     rng = np.random.default_rng(seed)
-    config = InterestConfig(radius_m=6.0, max_entities=4,
-                            always_relevant=frozenset({"e0"}))
     server = SyncServer(
-        sim, tick_rate_hz=20.0, interest=InterestManager(config),
+        sim, tick_rate_hz=20.0, interest=_make_interest(interest),
         keyframe_interval=keyframe_interval, vectorized=vectorized)
-    assert server.vectorized == vectorized
+    # Broadcast lacks the slots API, so it always runs the scalar tick.
+    assert server.vectorized == (vectorized and interest == "grid")
     client_ids = [f"c{i}" for i in range(4)]
     received = {cid: [] for cid in client_ids}
 
@@ -227,7 +241,7 @@ def _run_server_scenario(vectorized, seed, keyframe_interval):
     sim.process(driver())
     server.run(duration=2.0)
     sim.run()
-    return received
+    return received, server
 
 
 @pytest.mark.parametrize("keyframe_interval", [1, 3, 30])
@@ -235,11 +249,36 @@ def _run_server_scenario(vectorized, seed, keyframe_interval):
 def test_server_snapshot_streams_byte_identical(seed, keyframe_interval):
     """The vectorized server's per-client snapshot stream equals the
     scalar oracle's byte for byte (tick, time, full flag, wire size,
-    removals, state contents) under entity and subscriber churn."""
-    vector = _run_server_scenario(True, seed, keyframe_interval)
-    scalar = _run_server_scenario(False, seed, keyframe_interval)
-    assert vector == scalar
-    assert sum(len(stream) for stream in vector.values()) > 0
+    removals, state contents) under entity and subscriber churn, with
+    grid interest and with broadcast."""
+    for interest in ("grid", "broadcast"):
+        vector, _ = _run_server_scenario(
+            True, seed, keyframe_interval, interest)
+        scalar, _ = _run_server_scenario(
+            False, seed, keyframe_interval, interest)
+        assert vector == scalar, interest
+        assert sum(len(stream) for stream in vector.values()) > 0
+
+
+#: Recorded with broadcast on the scalar per-subscriber tick; the batched
+#: tick must reproduce every snapshot and every modeled-cost input.
+BROADCAST_PIN = (
+    "c030b0b0121f8f810d5eb8518163599fb331e5d52f0d8f0bcbeed9a5ae7924f9")
+
+
+def test_broadcast_server_run_is_pinned():
+    """A broadcast server's canonical snapshot streams plus its egress,
+    pairs-scanned and modeled tick-cost totals hash to a pinned value."""
+    received, server = _run_server_scenario(True, 11, 3, "broadcast")
+    metrics = server.metrics
+    fingerprint = (
+        sorted(received.items()),
+        repr(metrics.counter("snapshot_bytes")),
+        repr(metrics.counter("interest_pairs_scanned")),
+        repr(sum(metrics.tracker("tick_cost").samples)),
+    )
+    digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+    assert digest == BROADCAST_PIN
 
 
 def _run_failover_scenario(vectorized, seed=7, duration=4.0):
