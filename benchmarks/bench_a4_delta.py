@@ -18,7 +18,7 @@ import numpy as np
 from benchmarks.conftest import emit, header
 from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.protocol import ServerSnapshot
 
 N_ENTITIES = 60
@@ -37,8 +37,12 @@ def run_a4():
             world.apply(AvatarState(
                 f"p{i}", 0.0, Pose(np.array([i * 1.0, 0.0, 1.2])), seq=0
             ))
-        encoder = DeltaEncoder(keyframe_interval=keyframe_interval)
-        relevant = {f"p{i}" for i in range(N_ENTITIES)}
+        encoder = BatchDeltaEncoder(keyframe_interval=keyframe_interval)
+        # One subscriber row to which every entity is relevant.
+        relevant = np.asarray(
+            [world.slot_of(f"p{i}") for i in range(N_ENTITIES)],
+            dtype=np.int64)
+        offsets = np.array([0, N_ENTITIES], dtype=np.int64)
         total_bytes = 0
         for tick in range(TICKS):
             movers = rng.random(N_ENTITIES) < ACTIVE_FRACTION
@@ -48,9 +52,12 @@ def run_a4():
                     f"p{i}", float(tick), Pose(np.array([i * 1.0, 0.1 * tick, 1.2])),
                     seq=int(seqs[i]),
                 ))
-            states, removed, full = encoder.encode("sub", world, relevant)
-            snapshot = ServerSnapshot(tick=tick, server_time=float(tick),
-                                      states=states, removed=removed, full=full)
+            send_mask, full_flags, removed = encoder.encode_batch(
+                world, ["sub"], offsets, relevant)
+            snapshot = ServerSnapshot(
+                tick=tick, server_time=float(tick),
+                states=world.states_at(relevant[send_mask].tolist()),
+                removed=removed[0], full=bool(full_flags[0]))
             total_bytes += snapshot.size_bytes
         results[mode] = total_bytes / TICKS * 20 * 8 / 1e3  # kbps at 20 Hz
     return results

@@ -10,8 +10,10 @@ Expected shape: broadcast bandwidth grows linearly with N per client
 (quadratic in total) while interest-managed bandwidth flattens at the
 nearest-k cap; the server's tick saturates without filtering first.
 
-A second sweep wall-clocks the data plane itself: the vectorized (SoA +
-batched delta encode) tick vs the scalar per-subscriber oracle across
+A second sweep wall-clocks the data plane itself: ``SyncServer``'s
+vectorized (SoA + batched delta encode) tick vs the scalar
+per-subscriber tick it replaced (``ScalarSyncServer``, kept as a test
+oracle in ``tests/oracles/scalar_sync.py``) across
 N ∈ {100, 1k, 5k, 10k, 20k}.  That one measures *real* milliseconds per
 tick (``time.perf_counter`` around ``SyncServer.tick_once``), not the
 modeled sim-clock cost, and is what the committed perf budget
@@ -44,6 +46,7 @@ from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManag
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import ServerCostModel, SyncServer
 from repro.workload.traces import SeatedMotion
+from tests.oracles.scalar_sync import ScalarSyncServer
 
 SIZES = (10, 50, 150, 400)
 DURATION = 2.0
@@ -153,12 +156,12 @@ def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
     """
     sim = Simulator(seed=seed)
     interest = InterestManager(InterestConfig(radius_m=8.0, max_entities=30))
-    cost_model = ServerCostModel.vectorized() if vectorized \
-        else ServerCostModel()
-    server = SyncServer(sim, tick_rate_hz=20.0, interest=interest,
-                        cost_model=cost_model, vectorized=vectorized,
-                        profiler=profiler)
-    assert server.vectorized == vectorized
+    if vectorized:
+        server_cls, cost_model = SyncServer, ServerCostModel.vectorized()
+    else:
+        server_cls, cost_model = ScalarSyncServer, ServerCostModel()
+    server = server_cls(sim, tick_rate_hz=20.0, interest=interest,
+                        cost_model=cost_model, profiler=profiler)
     for i in range(n):
         server.subscribe(f"u{i}", lambda snapshot: None)
 

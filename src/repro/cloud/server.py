@@ -114,9 +114,13 @@ class CloudClassroomServer:
     def visible_to(self, client_id: str):
         """Entity ids the interest layer currently deems relevant.
 
-        Spectators with no embodied avatar yet are queried from their
-        assigned seat (or the room origin if they have none), matching the
-        sync server's per-tick behaviour.
+        Embodied clients are queried from their avatar position.  A
+        spectator with no embodied avatar yet is queried from their
+        assigned seat (or the room origin if they have none).  That is
+        *not* what the sync server's tick does: the tick serves a
+        subscriber that is not yet an entity from the room origin, so
+        for such a client this seat-based answer can differ from what
+        the tick actually sends until the client's first update lands.
         """
         positions = self.sync.world.positions()
         subject = positions.get(client_id)

@@ -15,7 +15,9 @@
   random streams so a run is reproducible from ``(config, seed)``.
 * :class:`~repro.simkit.clock.VirtualClock` — per-device clocks with offset
   and drift relative to simulation time.
-* :class:`~repro.simkit.trace.Tracer` — structured event tracing.
+* :mod:`~repro.simkit.spans` — the span-tracing hook behind
+  ``Simulator(obs=...)``: a no-op by default, the real
+  :class:`~repro.obs.span.SpanTracer` when observability is on.
 
 Example
 -------
@@ -42,7 +44,6 @@ from repro.simkit.event import AllOf, AnyOf, Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.resource import Resource, Store
 from repro.simkit.rng import RngRegistry
-from repro.simkit.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -57,7 +58,5 @@ __all__ = [
     "StopProcess",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "VirtualClock",
 ]

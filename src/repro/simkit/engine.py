@@ -11,7 +11,6 @@ from repro.simkit.event import AllOf, AnyOf, Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.rng import RngRegistry
 from repro.simkit.spans import NOOP_TRACER, make_tracer
-from repro.simkit.trace import Tracer
 
 
 class Simulator:
@@ -27,9 +26,6 @@ class Simulator:
     seed:
         Root seed for the :class:`~repro.simkit.rng.RngRegistry`; every
         component should draw randomness from :attr:`rng` streams.
-    trace:
-        If True, keep a structured :class:`~repro.simkit.trace.Tracer` that
-        components may record into.
     obs:
         Span tracing (see :mod:`repro.obs.span`).  ``True`` attaches a
         fresh :class:`~repro.obs.span.SpanTracer` stamped by this
@@ -44,13 +40,11 @@ class Simulator:
     #: Priority for urgent bookkeeping (runs before normal events at a time).
     PRIORITY_URGENT = 0
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 obs: Any = None) -> None:
+    def __init__(self, seed: int = 0, obs: Any = None) -> None:
         self._now = 0.0
         self._queue: list = []
         self._sequence = itertools.count()
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(self) if trace else None
         self._active_process: Optional[Process] = None
         # The kernel never imports the (higher-level) observability
         # package: the no-op path lives in simkit.spans and the real

@@ -11,7 +11,7 @@ the scaling experiments (C3a) measure.
 
 from repro.sync.client import SyncClient
 from repro.sync.consistency import ConsistencyProbe
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import WorldState
 from repro.sync.federation import (
     FederatedClient,
     ShardDelta,
@@ -41,7 +41,6 @@ __all__ = [
     "MoveInput",
     "PredictedAvatar",
     "ConsistencyProbe",
-    "DeltaEncoder",
     "InterestConfig",
     "InterestManager",
     "NtpSynchronizer",

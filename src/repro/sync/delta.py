@@ -9,15 +9,13 @@ unaffected).  The SoA arrays are the canonical representation the
 vectorized tick path consumes directly — interest management and the
 batched delta encoder read them without rebuilding per-id dictionaries.
 
-Two delta encoders share the same semantics:
-
-* :class:`DeltaEncoder` — the original scalar per-entity path, retained
-  as the property-test oracle (exactly as PR 1 kept ``naive_relevant``).
-* :class:`BatchDeltaEncoder` — computes every subscriber's
-  changed/removed sets in one vectorized pass over a sparse
-  subscribers x entities seen-version structure (sorted
-  ``row << 32 | slot`` key arrays) compared against the world's
-  ``(epoch, seq)`` arrays.
+:class:`BatchDeltaEncoder` is the one delta encoder: it computes every
+subscriber's changed/removed sets in one vectorized pass over a sparse
+subscribers x entities seen-version structure (sorted
+``row << 32 | slot`` key arrays) compared against the world's
+``(epoch, seq)`` arrays.  The original scalar per-entity encoder lives
+on as a test oracle (``DeltaEncoder`` in ``tests/oracles/scalar_sync.py``),
+which the ``vectorized`` property suite checks it against.
 
 Versioning is ``(epoch, seq)``: a client that crashes and rejoins with a
 reset sequence counter bumps its *epoch*, so its fresh updates are never
@@ -27,8 +25,7 @@ client was silently frozen until its new seq overtook its old one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -279,9 +276,9 @@ class WorldState:
         return ranks
 
     def positions(self) -> Dict[str, np.ndarray]:
-        """Id -> position mapping (scalar-path compatibility view).
+        """Id -> position mapping (object-oriented compatibility view).
 
-        The vectorized tick never calls this: it reads :meth:`compact`
+        The server tick never calls this: it reads :meth:`compact`
         directly.  Rows are views into the SoA block, not copies.
         """
         return {
@@ -294,85 +291,6 @@ class WorldState:
 
     def __contains__(self, participant_id: str) -> bool:
         return participant_id in self._index
-
-
-def _version_key(state: AvatarState) -> tuple:
-    return (getattr(state, "epoch", 0), state.seq)
-
-
-class DeltaEncoder:
-    """Tracks what each subscriber has seen and encodes the difference.
-
-    For every subscriber the encoder remembers the last ``(epoch, seq)``
-    sent per entity; a delta contains only entities whose version moved,
-    entities that entered the relevant set, and a removal list for entities
-    that left it.  ``keyframe_interval`` forces periodic full snapshots so
-    joiners and loss recover.
-
-    This is the scalar per-entity reference path, retained as the oracle
-    the ``vectorized`` property suite checks :class:`BatchDeltaEncoder`
-    against byte-for-byte.
-
-    Keyframe cadence: ``keyframe_interval=k`` emits a keyframe every k-th
-    *sent* snapshot tick — the counter increments before the threshold
-    check (``interval=1`` keyframes every tick) and only resets when the
-    keyframe actually carries content, because the server skips empty
-    snapshots and a client cannot recover from a keyframe it never got.
-    """
-
-    def __init__(self, keyframe_interval: int = 30):
-        if keyframe_interval < 1:
-            raise ValueError("keyframe interval must be >= 1")
-        self.keyframe_interval = keyframe_interval
-        self._seen: Dict[str, Dict[str, tuple]] = {}
-        self._ticks_since_keyframe: Dict[str, int] = {}
-
-    def encode(
-        self,
-        subscriber_id: str,
-        world: WorldState,
-        relevant: Set[str],
-    ) -> tuple:
-        """(states to send, removed ids, is_full) for this subscriber."""
-        seen = self._seen.setdefault(subscriber_id, {})
-        ticks = self._ticks_since_keyframe.get(subscriber_id, 0) + 1
-        force_full = ticks >= self.keyframe_interval or not seen
-        states: List[AvatarState] = []
-        for entity_id in relevant:
-            state = world.entities.get(entity_id)
-            if state is None:
-                # Deleted from the world while still in the relevant set:
-                # handled below as a removal so the subscriber's replica
-                # does not keep a ghost of it.
-                continue
-            if force_full or seen.get(entity_id, (-1, -1)) < _version_key(state):
-                states.append(state)
-        removed = [
-            entity_id
-            for entity_id in seen
-            if entity_id not in relevant or entity_id not in world.entities
-        ]
-        # Update bookkeeping.
-        for state in states:
-            seen[state.participant_id] = _version_key(state)
-        for entity_id in removed:
-            del seen[entity_id]
-        # The counter resets only when the keyframe is actually sent: the
-        # server drops empty snapshots, so an empty forced keyframe must
-        # stay pending until there is content to recover from.
-        if force_full and (states or removed):
-            ticks = 0
-        self._ticks_since_keyframe[subscriber_id] = ticks
-        return states, removed, force_full
-
-    def forget(self, subscriber_id: str) -> None:
-        """Drop a disconnected subscriber's bookkeeping."""
-        self._seen.pop(subscriber_id, None)
-        self._ticks_since_keyframe.pop(subscriber_id, None)
-
-    def acked_seq(self, subscriber_id: str, entity_id: str) -> Optional[int]:
-        version = self._seen.get(subscriber_id, {}).get(entity_id)
-        return None if version is None else version[1]
 
 
 class BatchDeltaEncoder:
@@ -395,8 +313,11 @@ class BatchDeltaEncoder:
        after an encode — unsent entries were already at the world
        version, which is what made them unsent).
 
-    Keyframe cadence matches the scalar :class:`DeltaEncoder` exactly,
-    including reset-only-when-sent.
+    Keyframe cadence: ``keyframe_interval=k`` emits a keyframe every k-th
+    *sent* snapshot tick — the counter increments before the threshold
+    check (``interval=1`` keyframes every tick) and only resets when the
+    keyframe actually carries content, because the server skips empty
+    snapshots and a client cannot recover from a keyframe it never got.
     """
 
     def __init__(self, keyframe_interval: int = 30):

@@ -9,21 +9,24 @@ against full broadcast.
 The query side is backed by a uniform spatial hash grid
 (:class:`SpatialHashGrid`) with cell size equal to the interest radius,
 so a radius query only examines the 3x3x3 block of cells around the
-subject instead of every entity in the world.  The batch entry point
-:meth:`InterestManager.relevant_batch` builds the grid once per tick
-from stacked positions and answers every subscriber against it;
-:meth:`InterestManager.relevant` stays as a thin single-subject wrapper
-so existing callers (and :class:`BroadcastInterest`) remain
-source-compatible.  :func:`naive_relevant` keeps the original O(N)
-linear scan as the reference oracle the equivalence tests check the
-grid against.
+subject instead of every entity in the world.  The server tick calls
+:meth:`InterestManager.relevant_indices_batch`, which builds the grid
+once per tick from the stacked entity positions and answers every
+subscriber as one CSR of entity rows; :meth:`InterestManager.relevant_batch`
+and :meth:`InterestManager.relevant` are id-mapping wrappers over it.
+:class:`BroadcastInterest` (the no-filtering baseline) speaks the same
+CSR API, so both run through the one batched tick.
+:func:`naive_relevant` keeps the original O(N) linear scan as the
+reference oracle the equivalence tests check the grid against.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -413,54 +416,6 @@ class InterestManager:
             for i, subject_id in enumerate(subject_ids)
         }
 
-    def relevant_sets_scalar(
-        self,
-        positions: Mapping[str, np.ndarray],
-        subjects: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, Set[str]]:
-        """The pre-vectorization per-subject loop, preserved verbatim.
-
-        One grid build, then a Python ranking pass per subject.  The
-        scalar server tick runs on this so the vectorized-vs-scalar
-        equivalence suite checks the batched core against the *original*
-        data plane (and so the C3a N-sweep's speedup baseline is the code
-        that was actually replaced), not against a re-wrapping of
-        :meth:`relevant_indices_batch`.
-        """
-        if subjects is None:
-            subjects = positions
-        grid = SpatialHashGrid.from_positions(positions, self.config.radius_m)
-        always_pool = [
-            entity_id
-            for entity_id in self.config.always_relevant
-            if entity_id in positions
-        ]
-        pairs_scanned = 0
-        results: Dict[str, Set[str]] = {}
-        for subject_id, point in subjects.items():
-            point = np.asarray(point, dtype=float)
-            always = {e for e in always_pool if e != subject_id}
-            candidates = grid.candidate_indices(point)
-            pairs_scanned += len(candidates)
-            if len(candidates) == 0:
-                results[subject_id] = always
-                continue
-            distances = np.linalg.norm(grid.points[candidates] - point, axis=1)
-            within = distances <= self.config.radius_m
-            ranked: List[tuple] = []
-            for distance, index in zip(
-                distances[within].tolist(), candidates[within].tolist()
-            ):
-                entity_id = grid.ids[index]
-                if entity_id == subject_id or entity_id in always:
-                    continue
-                ranked.append((distance, entity_id))
-            ranked.sort()
-            nearest = {e for _d, e in ranked[: self.config.max_entities]}
-            results[subject_id] = always | nearest
-        self.last_pairs_scanned = pairs_scanned
-        return results
-
     def relevance_matrix(
         self, positions: Mapping[str, np.ndarray]
     ) -> Dict[str, Set[str]]:
@@ -472,23 +427,36 @@ class BroadcastInterest:
     """The no-filtering baseline: everyone is relevant to everyone."""
 
     def __init__(self):
+        #: Broadcast as a relevance policy: unbounded radius and cap, and
+        #: no always-relevant set (everyone already is).
+        self.config = InterestConfig(radius_m=math.inf,
+                                     max_entities=sys.maxsize)
         self.last_pairs_scanned = 0
 
     def relevant(self, subject_id, subject_position, positions) -> Set[str]:
         """All entity ids except the subject itself."""
         return {entity_id for entity_id in positions if entity_id != subject_id}
 
-    def relevant_batch(
+    def relevant_indices_batch(
         self,
-        positions: Mapping[str, np.ndarray],
-        subjects: Optional[Iterable[str]] = None,
-    ) -> Dict[str, Set[str]]:
-        """Every subject sees every entity; scans all N x M pairs."""
-        if subjects is None:
-            subjects = positions
-        everyone = set(positions)
-        results = {
-            subject_id: everyone - {subject_id} for subject_id in subjects
-        }
-        self.last_pairs_scanned = len(results) * len(everyone)
-        return results
+        points: np.ndarray,
+        subject_points: np.ndarray,
+        subject_self: np.ndarray,
+        always_indices: np.ndarray,
+        id_ranks: np.ndarray,
+    ) -> tuple:
+        """Every entity row except the subject's own, as a CSR.
+
+        Same signature and ``(offsets, flat)`` result as
+        :meth:`InterestManager.relevant_indices_batch`; scans all
+        ``s x n`` (subject, entity) pairs.
+        """
+        n = len(points)
+        s = len(subject_points)
+        subject_self = np.asarray(subject_self, dtype=np.int64)
+        flat = np.tile(np.arange(n, dtype=np.int64), s)
+        keep = flat != np.repeat(subject_self, n)
+        counts = n - (subject_self >= 0)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        self.last_pairs_scanned = s * n
+        return offsets, flat[keep]

@@ -1,4 +1,13 @@
-"""The authoritative tick server."""
+"""The authoritative tick server.
+
+:class:`SyncServer` has one data plane: each tick runs straight over the
+world's structure-of-arrays slots — a batched apply, one interest query
+answering every subscriber as a CSR of entity rows, one
+:class:`~repro.sync.delta.BatchDeltaEncoder` pass and one vectorized
+snapshot-size sum.  The scalar per-subscriber tick it replaced lives on
+only as a test oracle (``tests/oracles/scalar_sync.py``), which the
+``vectorized`` equivalence suite byte-compares against this one.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +20,7 @@ import numpy as np
 from repro.metrics.collector import MetricsRegistry
 from repro.simkit.engine import Simulator
 from repro.simkit.errors import Interrupt
-from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
 
@@ -28,8 +37,7 @@ class ServerCostModel:
     With grid-backed interest management the number of pairs examined is
     far below the full ``n_subscribers * n_entities`` cross product, so
     :meth:`tick_cost` accepts the measured ``pairs_scanned`` and falls back
-    to the dense cross product only when the interest implementation does
-    not report one (e.g. broadcast).
+    to the dense cross product only when the caller passes none.
     """
 
     base: float = 0.0002
@@ -69,8 +77,8 @@ class SyncServer:
     Clients deposit :class:`~repro.sync.protocol.ClientUpdate` messages via
     :meth:`ingest` (normally called by a network delivery callback).  Every
     tick the server applies pending updates, computes all subscribers'
-    relevant sets in one batch interest query (one spatial-grid build over
-    one ``world.positions()`` materialization), delta-encodes against what
+    relevant sets in one batch interest query over the world's compact
+    position block (see :meth:`_do_tick`), delta-encodes against what
     each subscriber last saw, and hands the snapshot to the subscriber's
     ``send`` callback (which routes it back through the network).
 
@@ -88,7 +96,6 @@ class SyncServer:
         cost_model: ServerCostModel = ServerCostModel(),
         keyframe_interval: int = 30,
         metrics: Optional[MetricsRegistry] = None,
-        vectorized: bool = True,
         profiler=None,
     ):
         if tick_rate_hz <= 0:
@@ -108,17 +115,7 @@ class SyncServer:
         self.cost_model = cost_model
         self.world = WorldState()
         self._keyframe_interval = keyframe_interval
-        #: The batched SoA tick is the canonical path; it needs the
-        #: interest implementation to speak the slots API.  Custom
-        #: interest objects (and ``vectorized=False``, which the
-        #: equivalence suite uses as the oracle) fall back to the scalar
-        #: per-subscriber path.
-        self.vectorized = vectorized and hasattr(
-            self.interest, "relevant_indices_batch")
-        if self.vectorized:
-            self.encoder = BatchDeltaEncoder(keyframe_interval=keyframe_interval)
-        else:
-            self.encoder = DeltaEncoder(keyframe_interval=keyframe_interval)
+        self.encoder = BatchDeltaEncoder(keyframe_interval=keyframe_interval)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._subscribers: Dict[str, Callable[[ServerSnapshot], None]] = {}
         #: Per-client snapshot decimation factor (>= 2): the client is
@@ -317,61 +314,27 @@ class SyncServer:
             raise RuntimeError(f"server {self.name!r} is not crashed")
         self.crashed = False
         self.world = WorldState()
-        if self.vectorized:
-            self.encoder = BatchDeltaEncoder(
-                keyframe_interval=self._keyframe_interval)
-        else:
-            self.encoder = DeltaEncoder(
-                keyframe_interval=self._keyframe_interval)
+        self.encoder = BatchDeltaEncoder(
+            keyframe_interval=self._keyframe_interval)
         self._pending = []
 
-    def _relevant_sets(self, positions: Dict[str, np.ndarray]) -> tuple:
-        """All subscribers' relevant sets plus the pairs-scanned count.
-
-        Uses the interest implementation's batch API when available (one
-        grid build per tick); falls back to per-subscriber ``relevant()``
-        calls for custom interest objects that only implement the
-        single-subject protocol, in which case the pair count is unknown
-        and the cost model assumes a dense scan.
-        """
-        subjects = {
-            client_id: positions.get(client_id, _ORIGIN)
-            for client_id in self._subscribers
-        }
-        # Prefer the per-subject scalar implementation: the scalar tick is
-        # the preserved pre-vectorization data plane, both as the perf
-        # baseline the N-sweep compares against and as the equivalence
-        # suite's oracle (so byte-identity is proven against the original
-        # pipeline, not against a re-sharing of the batched core).
-        batch = getattr(self.interest, "relevant_sets_scalar", None) or \
-            getattr(self.interest, "relevant_batch", None)
-        if batch is not None:
-            relevant_sets = batch(positions, subjects)
-            pairs = getattr(self.interest, "last_pairs_scanned", None)
-            return relevant_sets, pairs
-        relevant_sets = {
-            client_id: self.interest.relevant(client_id, point, positions)
-            for client_id, point in subjects.items()
-        }
-        return relevant_sets, None
-
     def _do_tick(self) -> float:
-        """Run one tick; returns its modeled compute cost."""
-        if self.vectorized:
-            return self._tick_vectorized()
-        return self._tick_scalar()
-
-    def _tick_vectorized(self) -> float:
-        """One tick straight over the SoA arrays.
+        """Run one tick straight over the SoA arrays; returns its modeled
+        compute cost.
 
         Ingested updates land in the world's slot arrays; interest answers
         every subscriber as a CSR of compact rows against one grid build;
         the batch encoder turns that into per-subscriber send masks and
         removal lists in one sparse join; snapshot sizes come from one
         weighted bincount over the cached per-slot wire sizes.  Python
-        touches each *sent* state once (the snapshot list build) and each
-        entity at most once per tick for the defensive copy, which is
-        shared by every subscriber receiving it.
+        touches each *sent* state once (the snapshot list build); the
+        state objects themselves are shared by every subscriber receiving
+        them, never copied.
+
+        The interest object must speak the slots API
+        (``relevant_indices_batch``, ``last_pairs_scanned`` and
+        ``config.always_relevant``): :class:`InterestManager` and
+        :class:`~repro.sync.interest.BroadcastInterest` both do.
         """
         obs = self.sim.obs
         prof = self.profiler
@@ -517,122 +480,6 @@ class SyncServer:
         self.tick_count += 1
         return cost
 
-    def _tick_scalar(self) -> float:
-        """The scalar per-subscriber tick (oracle and fallback path)."""
-        obs = self.sim.obs
-        prof = self.profiler
-        if prof.enabled:
-            prof.begin("apply")
-        updates, self._pending = self._pending, []
-        for update in updates:
-            self.world.apply(update.state)
-        positions = self.world.positions()
-        if prof.enabled:
-            prof.switch("interest")
-        relevant_sets, pairs_scanned = self._relevant_sets(positions)
-
-        # Attribute the wait between ingest and this tick to each traced
-        # update, and precompute the per-subscriber compute share so the
-        # interest/delta stage can be budgeted against those traces too.
-        traced: Dict[str, tuple] = {}
-        compute_share = 0.0
-        if obs.enabled:
-            now = self.sim.now
-            if self._traced:
-                traced, self._traced = self._traced, {}
-                for entity_id, (ctx, ingested_at) in traced.items():
-                    obs.record_span(
-                        "tick_wait", "tick_wait", ingested_at, now,
-                        parent=ctx, entity=entity_id, tick=self.tick_count)
-            n_subs = max(1, len(self._subscribers))
-            pairs_for_cost = (
-                pairs_scanned if pairs_scanned is not None
-                else len(self._subscribers) * len(self.world)
-            )
-            compute_share = (
-                self.cost_model.base
-                + self.cost_model.per_update * len(updates)
-                + self.cost_model.per_entity_scan * pairs_for_cost
-            ) / n_subs
-        spanned: set = set()
-
-        if prof.enabled:
-            prof.switch("serialize")
-        states_sent = 0
-        for client_id, send in self._subscribers.items():
-            if self._decimation and not self._sends_this_tick(client_id):
-                # Skipped before the delta encode, so this client's
-                # encoder state stays at its last served tick and the
-                # next served snapshot carries the cumulative delta.
-                self.metrics.incr("snapshots_decimated")
-                continue
-            relevant = relevant_sets[client_id]
-            if prof.enabled:
-                # Nested: delta self-time is carved out of serialize.
-                prof.begin("delta")
-                states, removed, full = self.encoder.encode(
-                    client_id, self.world, relevant)
-                prof.end()
-            else:
-                states, removed, full = self.encoder.encode(
-                    client_id, self.world, relevant)
-            if not states and not removed:
-                continue
-            snapshot = ServerSnapshot(
-                tick=self.tick_count,
-                server_time=self.sim.now,
-                states=[state.copy() for state in states],
-                removed=removed,
-                full=full,
-            )
-            if traced:
-                included = {
-                    state.participant_id for state in states
-                    if state.participant_id in traced
-                }
-                if included:
-                    now = self.sim.now
-                    ready_at = now + compute_share + \
-                        self.cost_model.per_state_sent * len(states)
-                    snapshot.trace = {}
-                    # sorted(): `included` is a set; span/trace-map
-                    # order must be stable for byte-identical trace
-                    # replay across interpreter runs.
-                    for entity_id in sorted(included):
-                        ctx, _ingested_at = traced[entity_id]
-                        snapshot.trace[entity_id] = (ctx, ready_at)
-                        if entity_id not in spanned:
-                            spanned.add(entity_id)
-                            obs.record_span(
-                                "interest_delta", "interest_delta",
-                                now, ready_at, parent=ctx,
-                                entity=entity_id, tick=self.tick_count,
-                                states=len(states))
-            states_sent += len(states)
-            self.metrics.incr("snapshot_bytes", snapshot.size_bytes)
-            self.metrics.incr("snapshots_sent")
-            send(snapshot)
-        if prof.enabled:
-            prof.end()
-        cost = self.cost_model.tick_cost(
-            len(updates), len(self._subscribers), len(self.world), states_sent,
-            pairs_scanned=pairs_scanned,
-        )
-        if obs.enabled:
-            now = self.sim.now
-            obs.record_span(
-                "tick", "tick", now, now + cost,
-                server=self.name, tick=self.tick_count,
-                updates=len(updates), states_sent=states_sent,
-                subscribers=len(self._subscribers),
-                pairs_scanned=-1 if pairs_scanned is None else pairs_scanned)
-        self.metrics.tracker("tick_cost").record(cost)
-        self.metrics.incr("updates_ingested", len(updates))
-        if pairs_scanned is not None:
-            self.metrics.incr("interest_pairs_scanned", pairs_scanned)
-        self.tick_count += 1
-        return cost
-
     def tick_once(self) -> float:
         """One synchronous tick outside the run loop; returns its modeled
         cost.  Does not advance simulated time — the C3a N-sweep wall-clocks
@@ -747,5 +594,3 @@ class SyncServer:
         sent = self.metrics.counter("snapshot_bytes") - self._window_start_bytes
         return sent / mean_subscribers / self._window_elapsed(duration)
 
-
-_ORIGIN = np.zeros(3)

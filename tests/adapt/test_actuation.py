@@ -2,9 +2,10 @@
 
 The controller is only as good as its knobs.  These tests pin the two
 server-side actuation paths the adaptation loop turns — per-client
-snapshot decimation and advisory LOD hints — on both the vectorized and
-scalar tick paths, plus the federation-level replication that keeps the
-policy with the user through moves and newly provisioned shards.
+snapshot decimation and advisory LOD hints — on the production tick and
+on the scalar oracle tick (``tests/oracles/scalar_sync.py``), plus the
+federation-level replication that keeps the policy with the user
+through moves and newly provisioned shards.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.sync.client import SyncClient
 from repro.sync.federation import ShardedSyncService
 from repro.sync.server import SyncServer
 from repro.workload.traces import SeatedMotion
+from tests.oracles.scalar_sync import ScalarSyncServer
 
 pytestmark = pytest.mark.adapt
 
@@ -45,9 +47,11 @@ def wire_clients(sim, server, n):
     return clients
 
 
-def run_decimated(vectorized, factor, seed=3):
+def run_decimated(production, factor, seed=3):
+    """``production`` selects SyncServer; False runs the scalar oracle."""
     sim = Simulator(seed=seed)
-    server = SyncServer(sim, tick_rate_hz=20.0, vectorized=vectorized)
+    server_cls = SyncServer if production else ScalarSyncServer
+    server = server_cls(sim, tick_rate_hz=20.0)
     clients = wire_clients(sim, server, 3)
     server.set_snapshot_decimation("c0", factor)
     server.run(duration=RUN_S)
@@ -57,10 +61,10 @@ def run_decimated(vectorized, factor, seed=3):
     return server, clients
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_decimation_reduces_snapshot_rate(vectorized):
+@pytest.mark.parametrize("production", [True, False])
+def test_decimation_reduces_snapshot_rate(production):
     factor = 4
-    server, clients = run_decimated(vectorized, factor)
+    server, clients = run_decimated(production, factor)
     full = clients[1].snapshots_received
     decimated = clients[0].snapshots_received
     assert full > 50  # the run actually ticked
@@ -70,10 +74,10 @@ def test_decimation_reduces_snapshot_rate(vectorized):
         full - decimated - factor)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_decimated_stream_converges_to_full_stream_state(vectorized):
+@pytest.mark.parametrize("production", [True, False])
+def test_decimated_stream_converges_to_full_stream_state(production):
     """Skipped ticks accumulate into the next delta: no state is lost."""
-    server, clients = run_decimated(vectorized, 3)
+    server, clients = run_decimated(production, 3)
     observer = clients[1].latest_states()
     coarse = clients[0].latest_states()
     assert set(coarse) >= {"c1", "c2"}

@@ -136,7 +136,7 @@ def test_sync_server_records_tick_phases():
         sim, tick_rate_hz=20.0,
         interest=InterestManager(InterestConfig(radius_m=8.0,
                                                 max_entities=30)),
-        vectorized=True, profiler=profiler)
+        profiler=profiler)
     for i in range(6):
         server.subscribe(f"u{i}", lambda snapshot: None)
     for i in range(6):
@@ -156,7 +156,7 @@ def test_profiler_does_not_change_tick_results():
             sim, tick_rate_hz=20.0,
             interest=InterestManager(InterestConfig(radius_m=8.0,
                                                     max_entities=30)),
-            vectorized=True, profiler=profiler)
+            profiler=profiler)
         for i in range(6):
             server.subscribe(f"u{i}", lambda snapshot: None)
         for i in range(6):

