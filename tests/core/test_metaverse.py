@@ -117,6 +117,18 @@ def test_unit_case_validation():
         build_unit_case(sim, remote_per_city=-1)
 
 
+def test_unit_case_runs_back_to_back():
+    # Every periodic process must end at its horizon, so the edge avatar
+    # ticks are released before the next run() starts them again.
+    sim = Simulator(seed=11)
+    deployment = build_unit_case(sim, students_per_campus=1, remote_per_city=1)
+    deployment.run(duration=1.0)
+    assert not any(
+        campus.edge._running for campus in deployment.campuses.values())
+    deployment.run(duration=1.0)
+    assert sim.now == 2.0
+
+
 def test_remote_instructor_goes_on_stage():
     sim = Simulator(seed=7)
     deployment = MetaverseClassroom(sim)

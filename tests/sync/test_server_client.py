@@ -235,6 +235,20 @@ def test_measurement_windows_reset_between_runs():
     assert server.egress_bytes_per_client_s() < 1.5 * first_egress
 
 
+def test_client_run_ends_at_the_horizon():
+    # 40 publishes of 0.05 s sum to 2.000000000000001: the last sleep must
+    # be clamped, or the process outlives `sim.run(until=2.0)`.
+    sim = Simulator(seed=5)
+    sent = []
+    client = SyncClient(sim, "c0", transmit=sent.append, update_rate_hz=20.0)
+    client.local_pose = SeatedMotion((0.0, 0.0, 1.2), sim.rng.stream("t0"))
+    proc = client.run(duration=2.0)
+    sim.run(until=2.0)
+    assert not proc.is_alive
+    assert len(sent) == 40
+    assert sim.peek() == float("inf")
+
+
 def test_client_requires_local_pose():
     sim = Simulator()
     client = SyncClient(sim, "x", transmit=lambda u: None)
