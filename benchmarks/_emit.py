@@ -138,8 +138,14 @@ def wall_tracer(limit: int = 100_000):
 
 
 def wall_phase(tracer, name: str, parent=None):
-    """Context manager spanning one wall-clock benchmark phase."""
+    """Context manager spanning one wall-clock benchmark phase.
+
+    With ``tracer=None`` (an untraced run) it is a null context.
+    """
     import contextlib
+
+    if tracer is None:
+        return contextlib.nullcontext()
 
     @contextlib.contextmanager
     def _phase():
@@ -163,6 +169,23 @@ def export_trace(spans, bench: str,
     path.write_text(
         json.dumps(chrome_trace(spans), indent=2, sort_keys=True) + "\n")
     return path
+
+
+def incidents_identical(incidents, dir_a: Union[str, Path],
+                        dir_b: Union[str, Path]) -> bool:
+    """Whether every ``INCIDENT_<id>.json`` (and its ``_trace`` twin) in
+    ``dir_a`` is byte-identical to the one in ``dir_b``, a dump missing
+    from one side counting as a difference.  No incidents at all is
+    ``False``: a replay check that compared nothing proves nothing."""
+    def dump(directory, name):
+        path = Path(directory) / name
+        return path.read_bytes() if path.exists() else None
+
+    return bool(incidents) and all(
+        dump(dir_a, name) == dump(dir_b, name)
+        for incident in incidents
+        for name in (f"INCIDENT_{incident}.json",
+                     f"INCIDENT_{incident}_trace.json"))
 
 
 def write_artifact(name: str, text: str,

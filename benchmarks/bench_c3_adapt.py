@@ -27,6 +27,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from benchmarks._emit import wall_phase
 from benchmarks.conftest import emit, header
 from repro.adapt import AdaptConfig, AdaptationController, federation_knobs
 from repro.cloud.regions import RegionalPlan
@@ -183,19 +184,11 @@ def run_arm(seed: int, duration: float, adapt: bool) -> dict:
 
 def run_c3h(duration: float = DURATION, seed: int = SEED,
             tracer=None) -> dict:
-    import contextlib
-
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
-
-    with phase("baseline"):
+    with wall_phase(tracer, "baseline"):
         baseline = run_arm(seed, duration, adapt=False)
-    with phase("adapted"):
+    with wall_phase(tracer, "adapted"):
         adapted = run_arm(seed, duration, adapt=True)
-    with phase("replay"):
+    with wall_phase(tracer, "replay"):
         replay = run_arm(seed, duration, adapt=True)
     return {
         "baseline": baseline,
@@ -283,6 +276,10 @@ def main(argv=None):
     tracer = wall_tracer() if args.trace else None
     results = run_c3h(duration, args.seed, tracer=tracer)
     report(results, duration)
+    if not results["replay_identical"]:
+        raise SystemExit("seeded replay of the adapted arm diverged")
+    if not results["decisions_identical"]:
+        raise SystemExit("seeded replay of the degradation decisions diverged")
     baseline, adapted = results["baseline"], results["adapted"]
     params = {
         "duration_s": duration, "seed": args.seed, "users": N_USERS,

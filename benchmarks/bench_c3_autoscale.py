@@ -36,6 +36,7 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
 
 import numpy as np
 
+from benchmarks._emit import incidents_identical, wall_phase
 from benchmarks.conftest import emit, header
 from repro.cloud.autoscaler import (
     SHARD_TEMPLATES,
@@ -235,24 +236,17 @@ def run_live(seed: int, population_size: int, duration: float,
 
 def run_c3g(quick: bool = False, seed: int = SEED, tracer=None,
             incident_dir=None) -> dict:
-    import contextlib
     import tempfile
-
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
 
     obs = incident_dir is not None
     live_population = QUICK_LIVE_POPULATION if quick else LIVE_POPULATION
     live_duration = QUICK_LIVE_DURATION if quick else LIVE_DURATION
-    with phase("fluid-day"):
+    with wall_phase(tracer, "fluid-day"):
         fluid = run_fluid(seed, quick)
-    with phase("live-loop"):
+    with wall_phase(tracer, "live-loop"):
         live = run_live(seed, live_population, live_duration,
                         incident_dir=incident_dir, obs=obs)
-    with phase("live-replay"):
+    with wall_phase(tracer, "live-replay"):
         replay_dir = tempfile.mkdtemp() if incident_dir is not None else None
         live_replay = run_live(seed, live_population, live_duration,
                                incident_dir=replay_dir, obs=obs)
@@ -266,16 +260,8 @@ def run_c3g(quick: bool = False, seed: int = SEED, tracer=None,
     }
     if incident_dir is not None:
         # The rush incidents must replay byte-for-byte, same bar as C3e.
-        identical = bool(live["incidents"])
-        for incident in live["incidents"]:
-            for suffix in ("", "_trace"):
-                a = Path(incident_dir) / f"INCIDENT_{incident}{suffix}.json"
-                b = Path(replay_dir) / f"INCIDENT_{incident}{suffix}.json"
-                if a.exists() != b.exists():
-                    identical = False
-                elif a.exists() and a.read_bytes() != b.read_bytes():
-                    identical = False
-        results["incident_identical"] = identical
+        results["incident_identical"] = incidents_identical(
+            live["incidents"], incident_dir, replay_dir)
     return results
 
 
@@ -393,6 +379,8 @@ def main(argv=None):
             results["incident_identical"])
         emit(f"incident dumps byte-identical across replay: "
              f"{results['incident_identical']}")
+        if not results["incident_identical"]:
+            raise SystemExit("incident dumps diverged across replay")
     auto = results["fluid"]["autoscaled"]
     static = results["fluid"]["static_k4"]
     live = results["live"]

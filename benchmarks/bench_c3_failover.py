@@ -21,12 +21,14 @@ Standalone usage::
     PYTHONPATH=src python benchmarks/bench_c3_failover.py [--quick]
 """
 
+import itertools
 import sys
 from pathlib import Path
 
 if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from benchmarks._emit import incidents_identical, wall_phase
 from benchmarks.conftest import emit, header
 from repro.avatar.state import AvatarState
 from repro.net.faults import (
@@ -61,21 +63,20 @@ def _drive_world(sim, server, duration, n_others=4):
         for i in range(n_others)
     ]
 
-    def driver():
-        seq = 0
-        end = sim.now + duration
-        while sim.now < end - 1e-12:
-            for i, trace in enumerate(traces):
-                server.ingest(ClientUpdate(
-                    f"{server.name}-bg{i}",
-                    AvatarState(f"{server.name}-bg{i}", sim.now, trace(sim.now),
-                                seq=seq),
-                    seq,
-                ))
-            seq += 1
-            yield sim.timeout(0.05)
+    seqs = itertools.count()
 
-    sim.process(driver())
+    def drive():
+        seq = next(seqs)
+        for i, trace in enumerate(traces):
+            server.ingest(ClientUpdate(
+                f"{server.name}-bg{i}",
+                AvatarState(f"{server.name}-bg{i}", sim.now, trace(sim.now),
+                            seq=seq),
+                seq,
+            ))
+        return 0.05
+
+    sim.process(sim.repeat(duration, drive))
 
 
 def run_server_crash_failover(seed: int, duration: float,
@@ -155,13 +156,11 @@ def run_server_crash_failover(seed: int, duration: float,
         flight.bind(engine, incident_dir)
 
     def judge():
-        end = sim.now + duration
-        while sim.now < end - 1e-12:
-            flight.poll(sim.now)
-            engine.evaluate(sim.now)
-            yield sim.timeout(0.1)
+        flight.poll(sim.now)
+        engine.evaluate(sim.now)
+        return 0.1
 
-    sim.process(judge())
+    sim.process(sim.repeat(duration, judge))
     sim.run()
 
     return {
@@ -232,23 +231,16 @@ def run_reliable_outage_recovery(seed: int, duration: float,
 
 def run_c3e(duration: float = DURATION, chunks: int = CHUNKS,
             seed: int = SEED, tracer=None, incident_dir=None) -> dict:
-    import contextlib
     import tempfile
 
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
-
     obs = incident_dir is not None
-    with phase("failover"):
+    with wall_phase(tracer, "failover"):
         failover = run_server_crash_failover(
             seed, duration, incident_dir=incident_dir, obs=obs)
-    with phase("reliable"):
+    with wall_phase(tracer, "reliable"):
         reliable = run_reliable_outage_recovery(seed, duration, chunks)
     results = {"failover": failover, "reliable": reliable}
-    with phase("replay"):
+    with wall_phase(tracer, "replay"):
         replay_dir = tempfile.mkdtemp() if incident_dir is not None else None
         replay = {
             "failover": run_server_crash_failover(
@@ -261,16 +253,8 @@ def run_c3e(duration: float = DURATION, chunks: int = CHUNKS,
     if incident_dir is not None:
         # The incident dumps themselves must replay byte-for-byte: no
         # wall clocks, no temp paths, no iteration-order leaks inside.
-        identical = bool(failover["incidents"])
-        for incident in failover["incidents"]:
-            for suffix in ("", "_trace"):
-                a = Path(incident_dir) / f"INCIDENT_{incident}{suffix}.json"
-                b = Path(replay_dir) / f"INCIDENT_{incident}{suffix}.json"
-                if a.exists() != b.exists():
-                    identical = False
-                elif a.exists() and a.read_bytes() != b.read_bytes():
-                    identical = False
-        results["incident_identical"] = identical
+        results["incident_identical"] = incidents_identical(
+            failover["incidents"], incident_dir, replay_dir)
     return results
 
 
@@ -376,6 +360,10 @@ def main(argv=None):
         params["incident_identical"] = str(results["incident_identical"])
         emit(f"incident dumps byte-identical across replay: "
              f"{results['incident_identical']}")
+        if not results["incident_identical"]:
+            raise SystemExit("incident dumps diverged across replay")
+    if not results["replay_identical"]:
+        raise SystemExit("seeded replay of the fault scenarios diverged")
     stages = phase_breakdown_ms(tracer) if tracer is not None else None
     path = write_bench_json(
         "c3e", "failover_blackout_ms",

@@ -32,6 +32,7 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
 
 import numpy as np
 
+from benchmarks._emit import wall_phase
 from benchmarks.conftest import emit, header
 from repro.cloud.regions import plan_regions
 from repro.net.faults import FaultInjector, ServerCrashSchedule
@@ -104,20 +105,18 @@ def _trace_transmit(sim, client):
 def _staleness_probe(sim, clients, duration, samples):
     """Collect per-user staleness of every known remote entity."""
     warmup = sim.now + duration * WARMUP_FRACTION
-    end = sim.now + duration
 
-    def body():
-        while sim.now < end - 1e-12:
-            if sim.now >= warmup - 1e-12:
-                for user_id, federated in clients.items():
-                    bucket = samples.setdefault(user_id, [])
-                    for entity_id in federated.client.known_entities:
-                        age = federated.client.staleness(entity_id)
-                        if np.isfinite(age):
-                            bucket.append(age)
-            yield sim.timeout(SAMPLE_PERIOD)
+    def probe():
+        if sim.now >= warmup - 1e-12:
+            for user_id, federated in clients.items():
+                bucket = samples.setdefault(user_id, [])
+                for entity_id in federated.client.known_entities:
+                    age = federated.client.staleness(entity_id)
+                    if np.isfinite(age):
+                        bucket.append(age)
+        return SAMPLE_PERIOD
 
-    sim.process(body())
+    sim.process(sim.repeat(duration, probe))
 
 
 def _far_users(population):
@@ -223,21 +222,13 @@ def run_handoff(seed: int, population_size: int, k: int, duration: float):
 
 def run_c3f(duration: float = DURATION, population_size: int = POPULATION,
             seed: int = SEED, tracer=None) -> dict:
-    import contextlib
-
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
-
     sweeps = {}
     for k in KS:
-        with phase(f"k={k}"):
+        with wall_phase(tracer, f"k={k}"):
             sweeps[k], _sim = run_sharded(seed, population_size, k, duration)
-    with phase("handoff"):
+    with wall_phase(tracer, "handoff"):
         handoff = run_handoff(seed, population_size, max(KS), duration)
-    with phase("replay"):
+    with wall_phase(tracer, "replay"):
         replay_sweep, _sim = run_sharded(seed, population_size, max(KS),
                                          duration)
         replay_handoff = run_handoff(seed, population_size, max(KS), duration)
@@ -352,6 +343,8 @@ def main(argv=None):
     tracer = wall_tracer() if args.trace else None
     results = run_c3f(duration, population_size, args.seed, tracer=tracer)
     report(results, duration, population_size)
+    if not results["replay_identical"]:
+        raise SystemExit("seeded replay of the federation diverged")
 
     stages = None
     extra_params = {}

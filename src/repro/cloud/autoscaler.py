@@ -636,13 +636,8 @@ class ShardAutoscaler:
         if duration <= 0:
             raise ValueError("duration must be positive")
 
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                self.poll_once()
-                delay = self.config.poll_period_s
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+        def poll():
+            self.poll_once()
+            return self.config.poll_period_s
 
-        return self.sim.process(body())
+        return self.sim.process(self.sim.repeat(duration, poll))

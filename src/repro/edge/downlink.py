@@ -75,14 +75,13 @@ class SceneDownlink:
     def run(self, duration: float):
         """The downlink tick process."""
 
-        def body():
-            period = 1.0 / self.rate_hz
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                self._tick()
-                yield self.sim.timeout(period)
+        period = 1.0 / self.rate_hz
 
-        return self.sim.process(body())
+        def tick():
+            self._tick()
+            return period
+
+        return self.sim.process(self.sim.repeat(duration, tick))
 
     @property
     def drop_fraction(self) -> float:

@@ -126,12 +126,13 @@ class EdgeServer:
             raise RuntimeError("edge server already running")
         self._running = True
 
+        period = 1.0 / self.config.avatar_rate_hz
+
+        def tick():
+            return max(period, self._avatar_tick())
+
         def body():
-            period = 1.0 / self.config.avatar_rate_hz
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                cost = self._avatar_tick()
-                yield self.sim.timeout(max(period, cost))
+            yield from self.sim.repeat(duration, tick)
             self._running = False
 
         return self.sim.process(body())

@@ -33,9 +33,15 @@ __all__ = [
 
 
 def percentile(values: Sequence[float], q: float, default: float = 0.0) -> float:
-    """The ``q``-th percentile (0..100) by nearest-rank, ``default`` when
-    empty.  Matches :func:`repro.metrics.stats.summarize` conventions so
-    windowed and lifetime percentiles are comparable."""
+    """The ``q``-th percentile (0..100) by nearest rank, ``default`` when
+    empty: the ``ceil(q/100 * n)``-th smallest sample, so the result is
+    always one of ``values``.
+
+    This is not the convention of :func:`repro.metrics.stats.summarize`,
+    which interpolates linearly between samples (numpy's default): on
+    ``[1, 2, 3, 4]`` this gives p50 = 2 and p95 = 4, ``summarize`` gives
+    2.5 and 3.85.  The SLO, scoreboard and autoscaler fingerprints are
+    computed with this definition."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile out of range: {q}")
     if not values:

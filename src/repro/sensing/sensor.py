@@ -95,12 +95,10 @@ class RoomSensorArray:
     def run(self, device_id: str, truth: Callable[[float], Pose], duration: float):
         """A simkit process observing one participant at the array rate."""
 
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                sample = self.measure(device_id, truth)
-                if sample is not None and self.on_sample is not None:
-                    self.on_sample(sample)
-                yield self.sim.timeout(self.period)
+        def observe():
+            sample = self.measure(device_id, truth)
+            if sample is not None and self.on_sample is not None:
+                self.on_sample(sample)
+            return self.period
 
-        return self.sim.process(body())
+        return self.sim.process(self.sim.repeat(duration, observe))

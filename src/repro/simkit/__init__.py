@@ -9,6 +9,10 @@
   conditions :class:`~repro.simkit.event.AnyOf` / :class:`~repro.simkit.event.AllOf`.
 * :class:`~repro.simkit.process.Process` — generator-based cooperative
   processes in the style of SimPy.
+* :meth:`Simulator.repeat <repro.simkit.engine.Simulator.repeat>` — the
+  one horizon rule for periodic processes: ``step()`` runs while the
+  clock is before ``now + duration``, returns its next delay (``None``
+  stops), and the last sleep is clamped onto the horizon.
 * :class:`~repro.simkit.resource.Resource` and
   :class:`~repro.simkit.resource.Store` — contention primitives.
 * :class:`~repro.simkit.rng.RngRegistry` — named, independently seeded
@@ -31,6 +35,13 @@ Example
 >>> sim.run()
 >>> log
 [1.5]
+>>> def tick():
+...     log.append(sim.now)
+...     return 0.5
+>>> _ = sim.process(sim.repeat(1.5, tick))
+>>> sim.run(until=3.0)
+>>> log
+[1.5, 1.5, 2.0, 2.5]
 """
 
 from repro.simkit.clock import VirtualClock

@@ -103,6 +103,30 @@ class Simulator:
         event._add_callback(lambda _evt: func())
         return event
 
+    def repeat(
+        self, duration: float, step: Callable[[], Optional[float]]
+    ) -> Generator[Event, Any, None]:
+        """Process body calling ``step()`` periodically for ``duration`` s.
+
+        The horizon ``end = now + duration`` is taken when the body starts.
+        ``step()`` runs while ``now < end - 1e-12`` and returns the delay
+        until its next call, or ``None`` to stop early.  A delay reaching
+        past ``end`` is clamped onto it: accumulated float error would
+        otherwise park the final wake an ulp past the horizon (40 sleeps of
+        0.05 s sum to 2.000000000000001), leaving the process alive after
+        ``run(until=end)`` returns.  Wrap it in :meth:`process`, or
+        ``yield from`` it inside a larger body; an
+        :class:`~repro.simkit.errors.Interrupt` propagates to that body.
+        """
+        end = self._now + duration
+        while self._now < end - 1e-12:
+            delay = step()
+            if delay is None:
+                return
+            if self._now + delay > end:
+                delay = max(0.0, end - self._now)
+            yield self.timeout(delay)
+
     # -- scheduling internals --------------------------------------------------
 
     def _enqueue_at(self, when: float, event: Event, priority: int = 1) -> None:

@@ -81,13 +81,11 @@ class SyncClient:
     def run(self, duration: float):
         """A simkit process publishing at the configured rate."""
 
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                self.publish_once()
-                yield self.sim.timeout(self.update_period)
+        def publish():
+            self.publish_once()
+            return self.update_period
 
-        return self.sim.process(body())
+        return self.sim.process(self.sim.repeat(duration, publish))
 
     # -- receiving -----------------------------------------------------------
 

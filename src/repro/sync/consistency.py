@@ -59,12 +59,13 @@ class ConsistencyProbe:
     def run(self, duration: float, warmup: float = 1.0):
         """Periodic probing process; skips ``warmup`` seconds of joins."""
 
+        def probe():
+            self.probe_once()
+            return self.interval
+
         def body():
             yield self.sim.timeout(warmup)
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                self.probe_once()
-                yield self.sim.timeout(self.interval)
+            yield from self.sim.repeat(duration, probe)
 
         return self.sim.process(body())
 

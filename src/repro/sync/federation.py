@@ -825,18 +825,13 @@ class ShardedSyncService:
         return sent
 
     def _relay_process(self, relays: List[ShardRelay], duration: float):
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                if all(relay.stopped for relay in relays):
-                    break  # endpoints decommissioned mid-run
-                self.relay_round(relays)
-                delay = self.relay_period
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+        def fire():
+            if all(relay.stopped for relay in relays):
+                return None  # endpoints decommissioned mid-run
+            self.relay_round(relays)
+            return self.relay_period
 
-        return self.sim.process(body())
+        return self.sim.process(self.sim.repeat(duration, fire))
 
     def _relay_processes(
         self, relays: Sequence[ShardRelay], duration: float
@@ -971,19 +966,14 @@ class ShardHandoffController:
             for _user, controller in sorted(self.controllers.items())
         ]
 
-        def watcher():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                for site, shard in self.service.shards.items():
-                    if shard.crashed and site not in self.dead_sites:
-                        self.dead_sites.append(site)
-                        self._rehome_dead_site(site)
-                delay = self.check_period
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+        def watch():
+            for site, shard in self.service.shards.items():
+                if shard.crashed and site not in self.dead_sites:
+                    self.dead_sites.append(site)
+                    self._rehome_dead_site(site)
+            return self.check_period
 
-        processes.append(self.sim.process(watcher()))
+        processes.append(self.sim.process(self.sim.repeat(duration, watch)))
         return processes
 
     def blackouts(self) -> Dict[str, Optional[float]]:

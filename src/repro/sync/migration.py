@@ -170,15 +170,13 @@ class FailoverController:
         if duration <= 0:
             raise ValueError("duration must be positive")
 
+        def check():
+            if self._starved():
+                self._try_failover()
+            return self.check_period
+
         def body():
             self._last_action_at = self.sim.now
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                if self._starved():
-                    self._try_failover()
-                delay = self.check_period
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+            yield from self.sim.repeat(duration, check)
 
         return self.sim.process(body())

@@ -512,22 +512,16 @@ class SyncServer:
         self._window_start_sub_seconds = self._sub_seconds
         self._window_end_sub_seconds = None
 
+        def tick():
+            if self.crashed:
+                return None  # fail-stop: the tick process dies with the server
+            cost = self._do_tick()
+            # An overloaded server stretches its tick interval.
+            return max(self.tick_period, cost)
+
         def body():
             try:
-                end = self.sim.now + duration
-                while self.sim.now < end - 1e-12:
-                    if self.crashed:
-                        break  # fail-stop: the tick process dies with the server
-                    cost = self._do_tick()
-                    # An overloaded server stretches its tick interval.  The
-                    # last sleep is clamped to the horizon: accumulated float
-                    # error would otherwise park the final wake an ulp past
-                    # ``end``, leaving the process (and the running flag)
-                    # alive after ``sim.run(until=end)`` returns.
-                    delay = max(self.tick_period, cost)
-                    if self.sim.now + delay > end:
-                        delay = max(0.0, end - self.sim.now)
-                    yield self.sim.timeout(delay)
+                yield from self.sim.repeat(duration, tick)
             except Interrupt:
                 pass  # crash() tore the process down mid-sleep
             finally:

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.avatar.state import AvatarState
 from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.sensing.pose import Pose
-from repro.sensing.quantize import PoseQuantizer, QuantizationConfig
 from repro.simkit import Simulator
 from repro.sync.client import SyncClient
 from repro.sync.delta import BatchDeltaEncoder, WorldState
@@ -340,35 +339,6 @@ def test_failover_replay_byte_identical_across_paths():
     assert blackout_v == blackout_s
     assert vector == scalar
     assert any(name == "standby" for name, _ in vector)
-
-
-# -- batch quantizer ----------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    position_bits=st.integers(min_value=4, max_value=32),
-    quat_bits=st.integers(min_value=2, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_quantizer_batch_bit_identical(position_bits, quat_bits, seed):
-    """``roundtrip_batch`` is bit-for-bit the scalar ``roundtrip`` across
-    quantization configs (same IEEE ops in the same order)."""
-    quantizer = PoseQuantizer(QuantizationConfig(
-        position_bits=position_bits, quat_bits=quat_bits))
-    rng = np.random.default_rng(seed)
-    poses = [
-        Pose(position=rng.uniform(-25, 25, size=3),
-             orientation=rng.normal(size=4))
-        for _ in range(16)
-    ]
-    batch_pos, batch_quat = quantizer.roundtrip_batch(
-        np.stack([pose.position for pose in poses]),
-        np.stack([pose.orientation for pose in poses]))
-    for i, pose in enumerate(poses):
-        scalar = quantizer.roundtrip(pose)
-        assert np.array_equal(scalar.position, batch_pos[i])
-        assert np.array_equal(scalar.orientation, batch_quat[i])
 
 
 # -- regression: keyframe cadence --------------------------------------------
