@@ -66,7 +66,9 @@ SCALE_TICKS = 4
 #: continuously (the C3a driver publishes every entity every tick), so
 #: the representative steady state is full churn.
 SCALE_CHURN = 1.0
-QUICK_SCALE_SIZES = (1000, 10000)
+#: Smoke-mode sweep.  N=12 and N=100 gate the fixed per-tick overhead,
+#: which the N >= 1000 points hide; the last (largest) N is profiled.
+QUICK_SCALE_SIZES = (12, 100, 1000, 10000)
 QUICK_SCALE_TICKS = 3
 #: Acceptance: at N=10000 the vectorized shard must hold (modeled) 20 Hz.
 MIN_MODEL_TICK_RATE_10K = 19.0

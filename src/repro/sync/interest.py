@@ -9,11 +9,15 @@ against full broadcast.
 The query side is backed by a uniform spatial hash grid
 (:class:`SpatialHashGrid`) with cell size equal to the interest radius,
 so a radius query only examines the 3x3x3 block of cells around the
-subject instead of every entity in the world.  The server tick calls
+subject instead of every entity in the world.  The grid is a sorted
+array of packed int64 cell keys, one per entity; a batch of query cells
+finds its candidate blocks by binary search.  The server tick calls
 :meth:`InterestManager.relevant_indices_batch`, which builds the grid
 once per tick from the stacked entity positions and answers every
-subscriber as one CSR of entity rows; :meth:`InterestManager.relevant_batch`
-and :meth:`InterestManager.relevant` are id-mapping wrappers over it.
+subscriber as one CSR of entity rows, expanding (subject, candidate)
+pairs in fixed-size chunks with no Python loop over cells or subjects;
+:meth:`InterestManager.relevant_batch` and
+:meth:`InterestManager.relevant` are id-mapping wrappers over it.
 :class:`BroadcastInterest` (the no-filtering baseline) speaks the same
 CSR API, so both run through the one batched tick.
 :func:`naive_relevant` keeps the original O(N) linear scan as the
@@ -22,6 +26,7 @@ reference oracle the equivalence tests check the grid against.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -36,6 +41,44 @@ _EMPTY_INDICES = np.empty(0, dtype=np.int64)
 #: entity within the radius of a query point lives in one of these cells.
 _NEIGHBOUR_OFFSETS = tuple(product((-1, 0, 1), repeat=3))
 
+#: Cell coordinates pack into one int64 as three 21-bit fields, each
+#: biased by ``_CELL_BIAS``; a coordinate must satisfy
+#: ``|c| < _CELL_BIAS`` so that neither it nor its neighbours' keys
+#: spill into the next field.
+_CELL_BITS = 21
+_CELL_BIAS = 1 << (_CELL_BITS - 1)
+
+#: Packed-key offsets of ``_NEIGHBOUR_OFFSETS``: adding one to a key
+#: gives the key of the cell it names (fields never carry for in-bound
+#: cells).
+_NEIGHBOUR_KEYS = np.array(
+    [(dx << (2 * _CELL_BITS)) + (dy << _CELL_BITS) + dz
+     for dx, dy, dz in _NEIGHBOUR_OFFSETS], dtype=np.int64)
+
+#: (subject, candidate) pairs expanded at once by the batch query; bounds
+#: the pair arrays' memory on dense worlds.
+_PAIR_CHUNK = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _squared_radius_limit(radius: float) -> float:
+    """Largest squared distance whose correctly-rounded sqrt still passes
+    ``dist <= radius``.
+
+    sqrt is monotone, so testing ``sq <= limit`` keeps exactly the pairs
+    ``dist <= radius`` would, and the sqrt itself can be deferred to the
+    much smaller kept set without changing a single bit.  An infinite
+    radius keeps every finite distance.
+    """
+    if not math.isfinite(radius):
+        return math.inf
+    sq_limit = np.float64(radius) * np.float64(radius)
+    while np.sqrt(sq_limit) > radius:
+        sq_limit = np.nextafter(sq_limit, 0.0)
+    while np.sqrt(np.nextafter(sq_limit, np.inf)) <= radius:
+        sq_limit = np.nextafter(sq_limit, np.inf)
+    return float(sq_limit)
+
 
 @dataclass(frozen=True)
 class InterestConfig:
@@ -46,7 +89,7 @@ class InterestConfig:
     always_relevant: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.radius_m <= 0:
+        if not self.radius_m > 0:
             raise ValueError("radius must be positive")
         if self.max_entities < 1:
             raise ValueError("max_entities must be >= 1")
@@ -90,10 +133,12 @@ class SpatialHashGrid:
     """Uniform spatial hash over a fixed set of entity positions.
 
     Entities are bucketed into cubic cells of ``cell_size`` metres keyed
-    by their floored integer coordinates.  Built once per tick from the
-    stacked (N, 3) position array; a query gathers the candidate index
-    arrays of the 27 cells around a point, which is exhaustive for any
-    radius <= ``cell_size``.
+    by their floored integer coordinates, packed into one int64 per cell
+    (:meth:`cell_keys`).  Built once per query from the stacked (N, 3)
+    position array: the entity keys are sorted with a stable argsort, so
+    one cell's entities sit contiguously in ascending index order.  A
+    lookup (:meth:`blocks`) finds the 27 cells around each query cell by
+    binary search, which is exhaustive for any radius <= ``cell_size``.
     """
 
     def __init__(self, ids: List[str], points: np.ndarray, cell_size: float):
@@ -102,21 +147,10 @@ class SpatialHashGrid:
         self.ids = ids
         self.points = points
         self.cell_size = cell_size
-        self._cells: Dict[tuple, np.ndarray] = {}
-        if len(ids):
-            cells = np.floor(points / cell_size).astype(np.int64)
-            order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-            sorted_cells = cells[order]
-            change = np.nonzero(
-                np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-            )[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(order)]))
-            keys = sorted_cells[starts].tolist()
-            self._cells = {
-                tuple(key): order[s:e]
-                for key, s, e in zip(keys, starts, ends)
-            }
+        keys = self.cell_keys(points) if len(ids) else _EMPTY_INDICES
+        #: Entity rows in cell-key order; ``_keys`` holds their keys.
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
 
     @classmethod
     def from_positions(
@@ -132,27 +166,54 @@ class SpatialHashGrid:
 
     @property
     def n_cells(self) -> int:
-        return len(self._cells)
+        return len(np.unique(self._keys))
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def cell_keys(self, points: np.ndarray) -> np.ndarray:
+        """Packed int64 cell key of each (m, 3) point.
+
+        Raises ``ValueError`` when a cell coordinate is outside
+        ``(-2**20, 2**20)``: its key would alias a cell in the next field.
+        """
+        cells = np.floor(points / self.cell_size)
+        if not (np.abs(cells) < _CELL_BIAS).all():
+            raise ValueError(
+                f"cell coordinate out of range: |floor(position / cell_size)| "
+                f"must be < 2**{_CELL_BITS - 1} (cell size {self.cell_size} m)")
+        biased = cells.astype(np.int64) + _CELL_BIAS
+        return ((biased[:, 0] << (2 * _CELL_BITS))
+                + (biased[:, 1] << _CELL_BITS) + biased[:, 2])
+
+    def blocks(self, cell_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate rows of the 3x3x3 block around each query cell.
+
+        ``cell_keys`` are packed cell keys.  Returns a CSR ``(offsets,
+        flat)``: cell i's candidates are ``flat[offsets[i]:offsets[i + 1]]``,
+        neighbour cells in ``_NEIGHBOUR_OFFSETS`` order and ascending row
+        order within a cell.
+        """
+        near = (np.asarray(cell_keys, dtype=np.int64)[:, None]
+                + _NEIGHBOUR_KEYS).ravel()
+        lo = np.searchsorted(self._keys, near, side="left")
+        lengths = np.searchsorted(self._keys, near, side="right") - lo
+        ends = np.cumsum(lengths)
+        offsets = np.zeros(len(cell_keys) + 1, dtype=np.int64)
+        offsets[1:] = ends[len(_NEIGHBOUR_KEYS) - 1::len(_NEIGHBOUR_KEYS)]
+        total = int(ends[-1]) if len(ends) else 0
+        # Run r covers ``_order[lo[r]:lo[r] + lengths[r]]``; shift each
+        # output position back by the run's output start to land there.
+        flat = self._order[np.repeat(lo - (ends - lengths), lengths)
+                           + np.arange(total)]
+        return offsets, flat
+
     def candidate_indices(self, point: np.ndarray) -> np.ndarray:
         """Indices of entities in the 3x3x3 cell block around ``point``."""
-        if not self._cells:
+        if not len(self._keys):
             return _EMPTY_INDICES
-        base = np.floor(np.asarray(point, dtype=float) / self.cell_size)
-        cx, cy, cz = int(base[0]), int(base[1]), int(base[2])
-        chunks = []
-        for dx, dy, dz in _NEIGHBOUR_OFFSETS:
-            bucket = self._cells.get((cx + dx, cy + dy, cz + dz))
-            if bucket is not None:
-                chunks.append(bucket)
-        if not chunks:
-            return _EMPTY_INDICES
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        return self.blocks(
+            self.cell_keys(np.asarray(point, dtype=float).reshape(1, 3)))[1]
 
 
 class InterestManager:
@@ -204,111 +265,96 @@ class InterestManager:
         :func:`naive_relevant`).
 
         Returns ``(offsets, flat)``: subject i's relevant entity rows are
-        ``flat[offsets[i]:offsets[i + 1]]``.  One grid build, one fused
-        distance computation over every (subject, candidate) pair, and one
-        global lexsort replace the per-subject Python ranking loop.
+        ``flat[offsets[i]:offsets[i + 1]]``, in candidate-block order.
+        One grid build and one batched block lookup per distinct subject
+        cell; (subject, candidate) pairs are then expanded subject-major in
+        chunks of about ``_PAIR_CHUNK`` pairs, so the output is grouped by
+        subject as it is produced.
         """
         n = len(points)
         s = len(subject_points)
         subject_self = np.asarray(subject_self, dtype=np.int64)
         always_indices = np.asarray(always_indices, dtype=np.int64)
-        if n == 0 or s == 0:
-            counts = np.zeros(s, dtype=np.int64)
-            self.last_pairs_scanned = 0
-        else:
+        cand = subj = _EMPTY_INDICES
+        self.last_pairs_scanned = 0
+        if n and s:
             grid = SpatialHashGrid([None] * n, points, self.config.radius_m)
             subject_points = np.asarray(subject_points, dtype=float)
-            # Subjects sharing a grid cell share their candidate block:
-            # gather once per distinct cell, not once per subject.  Pack
-            # (cx, cy, cz) into one int64 so the distinct-cell pass is a
-            # 1-D sort instead of the much slower row-wise unique; 21
-            # bits per biased coordinate covers |coordinate| < 2^20.
-            cells = np.floor(subject_points / grid.cell_size).astype(np.int64)
-            bias = np.int64(1 << 20)
-            packed = (((cells[:, 0] + bias) << np.int64(42))
-                      | ((cells[:, 1] + bias) << np.int64(21))
-                      | (cells[:, 2] + bias))
-            uniq, group = np.unique(packed, return_inverse=True)
-            group = group.reshape(-1)
-            order = np.argsort(group, kind="stable")
-            bounds = np.searchsorted(
-                group[order], np.arange(len(uniq) + 1))
-            px, py, pz = (np.ascontiguousarray(points[:, a])
-                          for a in range(3))
-            qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
-                          for a in range(3))
+            # Subjects sharing a grid cell share its candidate block: look
+            # each distinct cell up once.
+            uniq, cell_of = np.unique(
+                grid.cell_keys(subject_points), return_inverse=True)
+            cell_of = cell_of.reshape(-1)
+            block_offsets, block = grid.blocks(uniq)
+            # Coordinate columns in block order, so a pair gathers from
+            # one contiguous array per axis.
+            bx, by, bz = (points[block, a] for a in range(3))
+            # Always-relevant rows are unioned in below whatever their
+            # distance; a NaN coordinate fails every radius test, so the
+            # pair pass drops them without a per-pair lookup.
             is_always = np.zeros(n, dtype=bool)
             is_always[always_indices] = True
-            radius = self.config.radius_m
-            # Largest squared distance whose correctly-rounded sqrt still
-            # passes ``dist <= radius``: sqrt is monotone, so testing
-            # ``sq <= sq_limit`` keeps exactly the pairs ``dist <= radius``
-            # would, and the sqrt itself can be deferred to the much
-            # smaller kept set without changing a single bit.
-            sq_limit = radius * radius
-            while np.sqrt(sq_limit) > radius:
-                sq_limit = np.nextafter(sq_limit, 0.0)
-            while np.sqrt(np.nextafter(sq_limit, np.inf)) <= radius:
-                sq_limit = np.nextafter(sq_limit, np.inf)
+            bx[is_always[block]] = np.nan
+            qx, qy, qz = (subject_points[:, a] for a in range(3))
+            sizes = np.diff(block_offsets)[cell_of]
+            ends = np.cumsum(sizes)
+            total = int(ends[-1])
+            self.last_pairs_scanned = total
+            sq_limit = _squared_radius_limit(self.config.radius_m)
+            # Subject ranges of about _PAIR_CHUNK pairs each; a subject's
+            # block is never split across chunks.
+            cuts = np.searchsorted(
+                ends, np.arange(0, total, _PAIR_CHUNK), side="right")
+            bounds = cuts.tolist() + [s]
             cand_parts: List[np.ndarray] = []
             subj_parts: List[np.ndarray] = []
-            dist_parts: List[np.ndarray] = []
-            total = 0
-            for g in range(len(uniq)):
-                sg = order[bounds[g]:bounds[g + 1]]
-                block = grid.candidate_indices(
-                    cells[sg[0]] * grid.cell_size + 0.5 * grid.cell_size)
-                if not len(block):
+            sq_parts: List[np.ndarray] = []
+            for a, c in zip(bounds, bounds[1:]):
+                if a == c:
                     continue
-                total += len(sg) * len(block)
-                # Dense (subjects-in-cell, block) broadcast: identical
-                # differences and float evaluation order to the pairwise
-                # form, with no million-element index gathers.
-                dx = px[block][None, :] - qx[sg][:, None]
-                dy = py[block][None, :] - qy[sg][:, None]
-                dz = pz[block][None, :] - qz[sg][:, None]
-                sq = (dx * dx + dy * dy) + dz * dz
-                keep = (sq <= sq_limit) \
-                    & (block[None, :] != subject_self[sg][:, None]) \
-                    & ~is_always[block][None, :]
-                si, ci = np.nonzero(keep)
-                cand_parts.append(block[ci])
-                subj_parts.append(sg[si])
-                dist_parts.append(sq[si, ci])
-            self.last_pairs_scanned = total
+                sz = sizes[a:c]
+                first = ends[a] - sizes[a]
+                # Pair p of subject i reads block position
+                # block_offsets[cell_of[i]] + (p - start of subject i).
+                pos = np.repeat(
+                    block_offsets[cell_of[a:c]] - (ends[a:c] - sz - first),
+                    sz) + np.arange(ends[c - 1] - first)
+                # Entity minus subject, then (dx*dx + dy*dy) + dz*dz: the
+                # per-cell loop's float expression, bit for bit, computed
+                # in place on the gathered columns.
+                sq = bx[pos]
+                sq -= np.repeat(qx[a:c], sz)
+                sq *= sq
+                dy = by[pos]
+                dy -= np.repeat(qy[a:c], sz)
+                dy *= dy
+                sq += dy
+                dz = bz[pos]
+                dz -= np.repeat(qz[a:c], sz)
+                dz *= dz
+                sq += dz
+                near = np.flatnonzero(sq <= sq_limit)
+                rows = block[pos[near]]
+                owner = np.repeat(np.arange(a, c, dtype=np.int64), sz)[near]
+                other = rows != subject_self[owner]
+                cand_parts.append(rows[other])
+                subj_parts.append(owner[other])
+                sq_parts.append(sq[near[other]])
             if cand_parts:
-                cand = np.concatenate(cand_parts)
-                subj = np.concatenate(subj_parts)
-                dist = np.sqrt(np.concatenate(dist_parts))
                 cand, subj = self._select_nearest(
-                    cand, subj, dist, s, id_ranks)
-                # Regroup by subject for the CSR — the per-cell pass
-                # enumerates subjects out of order.
-                regroup = np.argsort(subj, kind="stable")
-                cand, subj = cand[regroup], subj[regroup]
-                counts = np.bincount(subj, minlength=s)
-            else:
-                cand = _EMPTY_INDICES
-                counts = np.zeros(s, dtype=np.int64)
+                    np.concatenate(cand_parts), np.concatenate(subj_parts),
+                    np.sqrt(np.concatenate(sq_parts)), s, id_ranks)
         # Union in the always-relevant entities (minus the subject itself).
         if len(always_indices) and s:
             a_cand = np.tile(always_indices, s)
             a_subj = np.repeat(np.arange(s, dtype=np.int64),
                                len(always_indices))
             a_keep = a_cand != subject_self[a_subj]
-            a_cand, a_subj = a_cand[a_keep], a_subj[a_keep]
-            if n == 0 or not counts.sum():
-                base_cand = np.empty(0, dtype=np.int64)
-                base_subj = np.empty(0, dtype=np.int64)
-            else:
-                base_cand, base_subj = cand, subj
-            merged_subj = np.concatenate([base_subj, a_subj])
-            merged_cand = np.concatenate([base_cand, a_cand])
+            merged_subj = np.concatenate([subj, a_subj[a_keep]])
+            merged_cand = np.concatenate([cand, a_cand[a_keep]])
             order = np.argsort(merged_subj, kind="stable")
             cand, subj = merged_cand[order], merged_subj[order]
-            counts = np.bincount(subj, minlength=s)
-        elif n == 0 or not counts.sum():
-            cand = np.empty(0, dtype=np.int64)
+        counts = np.bincount(subj, minlength=s)
         offsets = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.int64)
         return offsets, cand

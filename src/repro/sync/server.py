@@ -407,7 +407,7 @@ class SyncServer:
 
         if prof.enabled:
             prof.switch("serialize")
-        states_sent = 0
+        states_sent = snapshots_sent = bytes_sent = 0
         # One flat zero-copy pass over everything sent this tick (CSR
         # order groups it by subscriber already); the per-subscriber loop
         # below then just list-slices, with no numpy work per subscriber.
@@ -460,9 +460,12 @@ class SyncServer:
                                 entity=entity_id, tick=self.tick_count,
                                 states=len(states))
             states_sent += len(states)
-            self.metrics.incr("snapshot_bytes", snapshot.size_bytes)
-            self.metrics.incr("snapshots_sent")
+            snapshots_sent += 1
+            bytes_sent += snapshot.size_bytes
             sends[i](snapshot)
+        if snapshots_sent:
+            self.metrics.incr("snapshot_bytes", bytes_sent)
+            self.metrics.incr("snapshots_sent", snapshots_sent)
         if prof.enabled:
             prof.end()
         cost = self.cost_model.tick_cost(

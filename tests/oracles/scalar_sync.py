@@ -18,9 +18,10 @@ import numpy as np
 
 from repro.avatar.state import AvatarState
 from repro.sync.delta import WorldState
-from repro.sync.interest import InterestConfig, InterestManager, SpatialHashGrid
+from repro.sync.interest import InterestConfig, InterestManager
 from repro.sync.protocol import ServerSnapshot
 from repro.sync.server import SyncServer
+from tests.oracles.percell_interest import SpatialHashGrid
 
 _ORIGIN = np.zeros(3)
 
@@ -112,7 +113,9 @@ def relevant_sets_scalar(
     """The pre-vectorization per-subject interest loop.
 
     One grid build, then a Python ranking pass per subject.  Returns
-    ``(relevant sets, pairs scanned)``.
+    ``(relevant sets, pairs scanned)``.  The grid is the dict-of-cells
+    one this loop ran on (``tests/oracles/percell_interest.py``), so the
+    scalar arm keeps timing the code that was replaced.
     """
     if subjects is None:
         subjects = positions
