@@ -17,7 +17,8 @@ oracle in ``tests/oracles/scalar_sync.py``) across
 N ∈ {100, 1k, 5k, 10k, 20k}.  That one measures *real* milliseconds per
 tick (``time.perf_counter`` around ``SyncServer.tick_once``), not the
 modeled sim-clock cost, and is what the committed perf budget
-(``benchmarks/perf_budget.py``) tracks in CI.
+(``benchmarks/perf_budget.py``) tracks in CI; :func:`phase_timer` splits
+its largest N's tick wall time by phase.
 
 Standalone usage (the grid-vs-naive *correctness* check lives in
 ``tests/sync/test_interest_grid.py`` and runs in tier-1; this file is the
@@ -30,6 +31,7 @@ performance sweep)::
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
@@ -39,9 +41,9 @@ import numpy as np
 
 from benchmarks.conftest import emit, header
 from repro.avatar.state import AvatarState
-from repro.obs.profiler import TickProfiler, guard_overhead_pct
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManager
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import ServerCostModel, SyncServer
@@ -75,9 +77,12 @@ MIN_MODEL_TICK_RATE_10K = 19.0
 #: Acceptance: measured wall-clock speedup of the vectorized tick at this N.
 SPEEDUP_N = 5000
 MIN_SPEEDUP = 5.0
-#: Acceptance: the profiler's disabled path (a ``prof.enabled`` guard at
-#: each phase boundary) must cost under this share of a measured tick.
-MAX_NOOP_OVERHEAD_PCT = 3.0
+#: Tick phases timed from outside: ``tick_once`` calls each, none nests.
+PHASES = {
+    "apply": (WorldState, "apply_many"),
+    "interest": (InterestManager, "relevant_indices_batch"),
+    "delta": (BatchDeltaEncoder, "encode_batch"),
+}
 
 
 def run_one(n: int, managed: bool, duration: float = DURATION,
@@ -146,8 +151,7 @@ def report(results, duration):
 
 
 def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
-                  churn: float = SCALE_CHURN, seed: int = 3,
-                  profiler=None):
+                  churn: float = SCALE_CHURN, seed: int = 3):
     """Wall-clock one server's tick at N entities (all subscribed).
 
     The world is seeded and keyframed in an untimed warm-up tick; each
@@ -163,7 +167,7 @@ def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
     else:
         server_cls, cost_model = ScalarSyncServer, ServerCostModel()
     server = server_cls(sim, tick_rate_hz=20.0, interest=interest,
-                        cost_model=cost_model, profiler=profiler)
+                        cost_model=cost_model)
     for i in range(n):
         server.subscribe(f"u{i}", lambda snapshot: None)
 
@@ -220,50 +224,50 @@ def report_scale(results):
             emit(f"  speedup at N={n}: {speedup:.1f}x")
 
 
-def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3,
-                baseline=None):
-    """Phase-profile the vectorized tick at N and price the off switch.
+@contextmanager
+def phase_timer():
+    """Time ``SyncServer.tick_once`` (``"tick"``) and each :data:`PHASES`
+    function; yields the running totals (s), restores the originals."""
+    targets = {"tick": (SyncServer, "tick_once"), **PHASES}
+    originals = {n: cls.__dict__[a] for n, (cls, a) in targets.items()}
+    totals = dict.fromkeys(targets, 0.0)
 
-    One instrumented repeat of the sweep's biggest vectorized config
-    yields the per-phase self-time table (apply / interest / delta /
-    serialize); ``guard_overhead_pct`` then times the *disabled* path —
-    the ``prof.enabled`` guards the hot loop always executes — against
-    the unprofiled baseline tick, which is the honest cost of shipping
-    the instrumentation turned off.
-    """
-    if baseline is None:
-        baseline = run_scale_one(n, True, ticks, seed=seed)
-    profiler = TickProfiler()
-    profiled = run_scale_one(n, True, ticks, seed=seed, profiler=profiler)
-    return {
-        "profiler": profiler,
-        "baseline_wall_ms": baseline["wall_ms_per_tick"],
-        "profiled_wall_ms": profiled["wall_ms_per_tick"],
-        "noop_guard_overhead_pct": guard_overhead_pct(
-            baseline["wall_ms_per_tick"] / 1e3),
-    }
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            begin = time.perf_counter()  # replint: ignore[DET001]
+            result = fn(*args, **kwargs)
+            totals[name] += time.perf_counter() - begin  # replint: ignore[DET001]
+            return result
+        return wrapper
+
+    try:
+        for name, (cls, attr) in targets.items():
+            setattr(cls, attr, timed(name, originals[name]))
+        yield totals
+    finally:
+        for name, (cls, attr) in targets.items():
+            setattr(cls, attr, originals[name])
+
+
+def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3):
+    """Wall time per phase of one vectorized run at N, hottest first;
+    ``tick self`` (``tick_once`` minus the wrapped phases: the compact and
+    self-row gather, the snapshot build) makes them sum to ``tick_s``."""
+    with phase_timer() as totals:
+        run_scale_one(n, True, ticks, seed=seed)
+    tick_s = totals.pop("tick")
+    totals["tick self"] = tick_s - sum(totals.values())
+    ranked = sorted(totals.items(), key=lambda kv: -kv[1])
+    return {"phases_s": dict(ranked), "tick_s": tick_s}
 
 
 def report_profile(profile, n):
-    header(f"C3a — Tick-phase self-time profile (vectorized, N={n})")
-    for line in profile["profiler"].table().splitlines():
-        emit(f"  {line}")
-    emit(f"  profiled tick {profile['profiled_wall_ms']:.2f} ms vs "
-         f"unprofiled {profile['baseline_wall_ms']:.2f} ms")
-    emit(f"  disabled-path guard overhead: "
-         f"{profile['noop_guard_overhead_pct']:.4f}% of a tick "
-         f"(budget {MAX_NOOP_OVERHEAD_PCT:.0f}%)")
-
-
-def check_profile(profile):
-    """Profiler acceptance gates (raises on violation)."""
-    if not profile["profiler"].hot_phases():
-        raise SystemExit("profiled run recorded no tick phases")
-    pct = profile["noop_guard_overhead_pct"]
-    if pct >= MAX_NOOP_OVERHEAD_PCT:
-        raise SystemExit(
-            f"profiler disabled-path guards cost {pct:.3f}% of a tick "
-            f"(budget {MAX_NOOP_OVERHEAD_PCT}%)")
+    header(f"C3a — Tick-phase wall time (vectorized, N={n})")
+    emit(f"  {'phase':<10} {'total ms':>9} {'share':>6}")
+    rows = {**profile["phases_s"], "tick_once": profile["tick_s"]}
+    for name, seconds in rows.items():
+        emit(f"  {name:<10} {seconds * 1e3:>9.2f} "
+             f"{seconds / profile['tick_s'] * 100:>5.1f}%")
 
 
 def check_scale(results, quick):
@@ -347,8 +351,7 @@ def main(argv=None):
     scale = run_scale(scale_sizes, scale_ticks)
     report_scale(scale)
     profile_n = scale_sizes[-1]
-    profile = run_profile(profile_n, scale_ticks,
-                          baseline=scale[(profile_n, True)])
+    profile = run_profile(profile_n, scale_ticks)
     report_profile(profile, profile_n)
     biggest = results[(sizes[-1], True)]
     scale_params = {
@@ -369,18 +372,15 @@ def main(argv=None):
             "scale": scale_params,
             "profile": {
                 "n": profile_n,
-                "noop_guard_overhead_pct": round(
-                    profile["noop_guard_overhead_pct"], 4),
                 "hot_phases": {
-                    name: round(row["total_s"] * 1e3, 3)
-                    for name, row in profile["profiler"].hot_phases(4)
+                    name: round(seconds * 1e3, 3)
+                    for name, seconds in profile["phases_s"].items()
                 },
             },
         },
         stages=biggest.get("stages_ms"))
     emit(f"wrote {path}")
     check_scale(scale, quick=args.quick)
-    check_profile(profile)
     return results
 
 

@@ -29,7 +29,6 @@ from repro.net.latency import WanLatencyModel
 from repro.net.link import Link, LinkStats
 from repro.net.node import Node, connect
 from repro.net.packet import Packet
-from repro.net.routing import RoutingTable
 from repro.net.topology import PathChannel, Site, Topology
 from repro.net.transport import DatagramChannel, ReliableChannel
 from repro.net.wifi import WifiNetwork
@@ -54,7 +53,6 @@ __all__ = [
     "Packet",
     "PathChannel",
     "ReliableChannel",
-    "RoutingTable",
     "Site",
     "TokenBucket",
     "Topology",

@@ -20,8 +20,6 @@ under ~100 ms end to end — is only checkable if the simulator can say
   multi-window burn-rate alerting (healthy/warning/breach + hysteresis);
 * :mod:`repro.obs.flight` — a bounded flight recorder that dumps
   schema-validated ``INCIDENT_<id>.json`` (+ Perfetto trace) on breach;
-* :mod:`repro.obs.profiler` — a zero-dep tick-phase profiler with
-  per-phase self-time histograms and a top-k hot-phase table;
 * :mod:`repro.obs.scoreboard` — per-client rolling QoE performance and
   fuzzy cybersickness gauges, the adaptation loop's single surface.
 """
@@ -39,13 +37,6 @@ from repro.obs.flight import (
     validate_incident,
 )
 from repro.obs.harness import MotionToPhotonHarness, MtpProbeConfig
-from repro.obs.profiler import (
-    NOOP_PROFILER,
-    PROFILE_BUCKETS,
-    NoopProfiler,
-    TickProfiler,
-    guard_overhead_pct,
-)
 from repro.obs.scoreboard import ClientScore, QoeScoreboard
 from repro.obs.slo import (
     BREACH,
@@ -86,7 +77,6 @@ __all__ = [
     "percentile",
     "MTP_STAGES",
     "NOOP_CONTEXT",
-    "NOOP_PROFILER",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "LATENCY_BUDGET_S",
@@ -95,9 +85,7 @@ __all__ = [
     "MotionToPhotonHarness",
     "MotionToPhotonReport",
     "MtpProbeConfig",
-    "NoopProfiler",
     "NoopTracer",
-    "PROFILE_BUCKETS",
     "QoeScoreboard",
     "SloEngine",
     "SloSpec",
@@ -106,10 +94,8 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanTracer",
-    "TickProfiler",
     "TraceSummary",
     "chrome_trace",
-    "guard_overhead_pct",
     "metrics_json",
     "prometheus_text",
     "report_json",

@@ -250,7 +250,6 @@ class ShardedSyncService:
         default_inter_shard_delay: float = 0.02,
         default_access_delay: float = 0.005,
         name: str = "fed",
-        profiler=None,
     ):
         if not plan.sites:
             raise ValueError("plan has no sites")
@@ -293,12 +292,6 @@ class ShardedSyncService:
         #: stops a relay from echoing a ghost back to where it came from.
         self.entity_home: Dict[str, str] = {}
         self.clients: Dict[str, FederatedClient] = {}
-        if profiler is None:
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        #: One tick-phase profiler shared by every shard and relay, so
-        #: the hot-phase table spans the whole federation.
-        self.profiler = profiler
         #: Owner code per site (1-based; ``OWNER_LOCAL`` = 0 marks locally
         #: authoritative slots).  Ghost entities applied from a relay are
         #: tagged with their home shard's code straight in the world's SoA
@@ -338,7 +331,6 @@ class ShardedSyncService:
             interest=InterestManager(self.interest_config),
             cost_model=self._cost_model,
             keyframe_interval=self._keyframe_interval,
-            profiler=self.profiler,
         )
 
     def _make_relay(self, src: str, dst: str,
@@ -781,9 +773,6 @@ class ShardedSyncService:
         src = self.shards.get(src_site)
         if src is None or src.crashed:
             return sent
-        prof = self.profiler
-        if prof.enabled:
-            prof.begin("relay_encode")
         world = src.world
         ids, rows, slots, points = self.local_soa(src_site)
         subjects = [list(relays[i].remote_subjects.values()) if len(slots)
@@ -807,8 +796,6 @@ class ShardedSyncService:
             world, [relays[i].dst_site for i in live], enc_offsets,
             np.concatenate(rel_slots))
         digest = self.home_subscriber_digest(src_site)
-        if prof.enabled:
-            prof.switch("relay_send")
         for j, i in enumerate(live):
             sent_slots = rel_slots[j][
                 send_mask[enc_offsets[j]:enc_offsets[j + 1]]]
@@ -820,8 +807,6 @@ class ShardedSyncService:
                     full=bool(full_flags[j]),
                     cached_states_bytes=int(
                         world.wire_sizes[sent_slots].sum())))
-        if prof.enabled:
-            prof.end()
         return sent
 
     def _relay_process(self, relays: List[ShardRelay], duration: float):

@@ -96,18 +96,9 @@ class SyncServer:
         cost_model: ServerCostModel = ServerCostModel(),
         keyframe_interval: int = 30,
         metrics: Optional[MetricsRegistry] = None,
-        profiler=None,
     ):
         if tick_rate_hz <= 0:
             raise ValueError("tick rate must be positive")
-        if profiler is None:
-            # Imported lazily: repro.obs pulls in the MTP harness, which
-            # imports this module (same cycle simkit.engine dodges).
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        #: Tick-phase profiler (``repro.obs.profiler``); the shared no-op
-        #: by default, so the hot path pays one guard per phase boundary.
-        self.profiler = profiler
         self.sim = sim
         self.name = name
         self.tick_period = 1.0 / tick_rate_hz
@@ -337,10 +328,7 @@ class SyncServer:
         :class:`~repro.sync.interest.BroadcastInterest` both do.
         """
         obs = self.sim.obs
-        prof = self.profiler
         world = self.world
-        if prof.enabled:
-            prof.begin("apply")
         updates, self._pending = self._pending, []
         if updates:
             world.apply_many([update.state for update in updates])
@@ -369,15 +357,11 @@ class SyncServer:
             int(inverse[world.slot_of(e)])
             for e in self.interest.config.always_relevant if e in world
         ), dtype=np.int64)
-        if prof.enabled:
-            prof.switch("interest")
         offsets, flat = self.interest.relevant_indices_batch(
             points, subject_points, self_rows, always_rows,
             world.lexicographic_ranks())
         pairs_scanned = self.interest.last_pairs_scanned
         flat_slots = slots[flat] if len(flat) else flat
-        if prof.enabled:
-            prof.switch("delta")
         send_mask, full_flags, removed_lists = self.encoder.encode_batch(
             world, sub_ids, offsets, flat_slots)
 
@@ -405,8 +389,6 @@ class SyncServer:
             ) / max(1, s)
         spanned: set = set()
 
-        if prof.enabled:
-            prof.switch("serialize")
         states_sent = snapshots_sent = bytes_sent = 0
         # One flat zero-copy pass over everything sent this tick (CSR
         # order groups it by subscriber already); the per-subscriber loop
@@ -466,8 +448,6 @@ class SyncServer:
         if snapshots_sent:
             self.metrics.incr("snapshot_bytes", bytes_sent)
             self.metrics.incr("snapshots_sent", snapshots_sent)
-        if prof.enabled:
-            prof.end()
         cost = self.cost_model.tick_cost(
             len(updates), s, n, states_sent, pairs_scanned=pairs_scanned)
         if obs.enabled:

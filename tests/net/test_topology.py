@@ -5,7 +5,6 @@ import pytest
 from repro.net.geo import WORLD_CITIES, GeoPoint
 from repro.net.node import Node, connect
 from repro.net.packet import Packet
-from repro.net.routing import RoutingTable
 from repro.net.topology import Site, Topology
 from repro.simkit import Simulator
 
@@ -105,14 +104,3 @@ def test_path_channel_same_site_is_local():
     sim.run()
     assert arrivals == [0.0]
 
-
-def test_routing_table_full_route():
-    sim = Simulator()
-    topo = build_triangle(sim)
-    table = RoutingTable.from_topology(topo)
-    assert table.route("cwb", "kaist") == ["cwb", "gz", "kaist"]
-    assert table.next_hop("cwb", "gz") == "gz"
-    with pytest.raises(ValueError):
-        table.next_hop("cwb", "cwb")
-    with pytest.raises(KeyError):
-        table.next_hop("cwb", "mars")

@@ -189,15 +189,10 @@ class ScalarSyncServer(SyncServer):
     def _do_tick(self) -> float:
         """The scalar per-subscriber tick."""
         obs = self.sim.obs
-        prof = self.profiler
-        if prof.enabled:
-            prof.begin("apply")
         updates, self._pending = self._pending, []
         for update in updates:
             self.world.apply(update.state)
         positions = self.world.positions()
-        if prof.enabled:
-            prof.switch("interest")
         relevant_sets, pairs_scanned = self._relevant_sets(positions)
 
         # Attribute the wait between ingest and this tick to each traced
@@ -221,8 +216,6 @@ class ScalarSyncServer(SyncServer):
             ) / n_subs
         spanned: set = set()
 
-        if prof.enabled:
-            prof.switch("serialize")
         states_sent = 0
         for client_id, send in self._subscribers.items():
             if self._decimation and not self._sends_this_tick(client_id):
@@ -232,15 +225,8 @@ class ScalarSyncServer(SyncServer):
                 self.metrics.incr("snapshots_decimated")
                 continue
             relevant = relevant_sets[client_id]
-            if prof.enabled:
-                # Nested: delta self-time is carved out of serialize.
-                prof.begin("delta")
-                states, removed, full = self.encoder.encode(
-                    client_id, self.world, relevant)
-                prof.end()
-            else:
-                states, removed, full = self.encoder.encode(
-                    client_id, self.world, relevant)
+            states, removed, full = self.encoder.encode(
+                client_id, self.world, relevant)
             if not states and not removed:
                 continue
             snapshot = ServerSnapshot(
@@ -277,8 +263,6 @@ class ScalarSyncServer(SyncServer):
             self.metrics.incr("snapshot_bytes", snapshot.size_bytes)
             self.metrics.incr("snapshots_sent")
             send(snapshot)
-        if prof.enabled:
-            prof.end()
         cost = self.cost_model.tick_cost(
             len(updates), len(self._subscribers), len(self.world), states_sent,
             pairs_scanned=pairs_scanned,

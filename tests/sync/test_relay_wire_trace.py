@@ -20,7 +20,6 @@ from repro.cloud.regions import RegionalPlan, plan_regions
 from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.avatar.state import AvatarState
 from repro.net.link import Link
-from repro.obs.profiler import TickProfiler
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import (
@@ -241,22 +240,28 @@ def test_start_arms_one_relay_process_per_source():
     assert len(processes) == 4 + 4  # shard ticks + one round per source
 
 
-def test_profiler_records_relay_encode_once_per_round():
+def test_every_relay_round_carries_one_delta_per_peer(monkeypatch):
+    rounds = []
+    relay_round = ShardedSyncService.relay_round
+
+    def counted(self, relays):
+        sent = relay_round(self, relays)
+        rounds.append((len(relays), sum(d is not None for d in sent)))
+        return sent
+
+    monkeypatch.setattr(ShardedSyncService, "relay_round", counted)
     population = sample_worldwide(12, np.random.default_rng(7))
     sim = Simulator(seed=2)
-    profiler = TickProfiler()
     service = ShardedSyncService(
         sim, plan_regions(population, k=4), population,
-        interest_config=SEATED, relay_rate_hz=100.0, profiler=profiler)
+        interest_config=SEATED, relay_rate_hz=100.0)
     _seat(sim, service, sorted(u.user_id for u in population.users), 0.3)
     service.start(0.3)
     sim.run()
-    phases = profiler.phases
     deltas = sum(relay.deltas_sent for relay in service.relays.values())
     # Every shard has homed clients, so each round sends k-1 deltas.
-    assert deltas == 3 * phases["relay_encode"].count > 0
-    assert phases["relay_send"].count == phases["relay_encode"].count
-    assert profiler.open_phases == 0
+    assert rounds and all(round_ == (3, 3) for round_ in rounds)
+    assert deltas == 3 * len(rounds) > 0
 
 
 def test_relay_round_rejects_relays_of_different_encoders():
