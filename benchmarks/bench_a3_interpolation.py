@@ -26,6 +26,7 @@ from benchmarks.conftest import emit, header
 from repro.avatar.interpolation import SnapshotBuffer
 from repro.avatar.prediction import DeadReckoner
 from repro.avatar.state import AvatarState
+from repro.metrics.stats import percentile
 from repro.simkit import Simulator
 from repro.workload.traces import WalkingMotion
 
@@ -86,7 +87,7 @@ def run_a3():
     sim.process(prober())
     sim.run(until=DURATION)
     return {
-        policy: (float(np.mean(vals)), float(np.percentile(vals, 95)))
+        policy: (float(np.mean(vals)), float(percentile(vals, 95)))
         for policy, vals in errors.items()
     }
 

@@ -31,13 +31,13 @@ from benchmarks._emit import wall_phase
 from benchmarks.conftest import emit, header
 from repro.adapt import AdaptConfig, AdaptationController, federation_knobs
 from repro.cloud.regions import RegionalPlan
+from repro.metrics.stats import percentile
 from repro.net.faults import (
     FaultInjector,
     GilbertElliottLoss,
     ServerCrashSchedule,
 )
 from repro.obs.scoreboard import QoeScoreboard
-from repro.obs.signals import percentile
 from repro.render.budget import FrameBudget
 from repro.render.pipeline import DEVICE_PROFILES
 from repro.simkit import Simulator

@@ -35,6 +35,7 @@ import numpy as np
 from benchmarks._emit import wall_phase
 from benchmarks.conftest import emit, header
 from repro.cloud.regions import plan_regions
+from repro.metrics.stats import percentile
 from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService, ShardHandoffController
@@ -160,9 +161,9 @@ def run_sharded(seed: int, population_size: int, k: int,
         "sites": sorted(service.sites),
         "far_users": len(far),
         "p95_snapshot_staleness_ms": round(
-            float(np.percentile(snap_all, 95.0)) * 1e3, 6),
+            float(percentile(snap_all, 95.0)) * 1e3, 6),
         "p95_far_snapshot_staleness_ms": round(
-            float(np.percentile(snap_far, 95.0)) * 1e3, 6)
+            float(percentile(snap_far, 95.0)) * 1e3, 6)
         if snap_far.size else None,
         "mean_snapshot_staleness_ms": round(
             float(snap_all.mean()) * 1e3, 6),

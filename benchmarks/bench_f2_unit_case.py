@@ -18,6 +18,7 @@ import numpy as np
 
 from benchmarks.conftest import emit, header
 from repro.core.unitcase import build_unit_case, unit_case_roster
+from repro.metrics.stats import percentile
 from repro.simkit import Simulator
 
 
@@ -45,7 +46,7 @@ def test_f2_unit_case(benchmark):
     staleness = report.staleness_cross_campus_ms()
     emit()
     emit(f"Cross-campus avatar staleness: mean {np.mean(staleness):6.1f} ms, "
-         f"p95 {np.percentile(staleness, 95):6.1f} ms")
+         f"p95 {percentile(staleness, 95):6.1f} ms")
     for pid in ("kaist-0", "mit-0", "cambridge_uk-0"):
         latency = deployment.remote_clients[pid].snapshot_latency.summary_ms()
         emit(f"Remote {pid:<16} snapshot latency mean {latency.mean:6.1f} ms "

@@ -23,6 +23,7 @@ import numpy as np
 
 from benchmarks.conftest import emit, header
 from repro.core.unitcase import build_unit_case
+from repro.metrics.stats import percentile
 from repro.render.display import DisplayModel
 from repro.render.pipeline import DEVICE_PROFILES, RenderPipeline
 from repro.simkit import Simulator
@@ -99,7 +100,7 @@ def main(argv=None):
     path = write_bench_json(
         "f3", "cross_campus_staleness_ms", float(np.mean(staleness)), "ms",
         params={
-            "p95_ms": float(np.percentile(staleness, 95)),
+            "p95_ms": float(percentile(staleness, 95)),
             "interp_delay_ms":
                 deployment.campuses["gz"].edge.config.interpolation_delay_s
                 * 1e3,

@@ -40,7 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.regions import DEFAULT_CANDIDATE_SITES
 from repro.metrics.collector import MetricsRegistry
-from repro.obs.signals import CounterRate, SampleWindow, percentile
+from repro.metrics.stats import percentile
+from repro.obs.signals import CounterRate, SampleWindow
 
 __all__ = [
     "SHARD_TEMPLATES",

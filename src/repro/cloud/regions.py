@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.metrics.stats import percentile
 from repro.net.geo import CITY_REGIONS, WORLD_CITIES, GeoPoint
 from repro.net.latency import WanLatencyModel
 from repro.workload.population import RemotePopulation, RemoteUser
@@ -43,7 +44,7 @@ class RegionalPlan:
 
     def p95_rtt(self) -> float:
         """95th-percentile user RTT; raises ``ValueError`` with no users."""
-        return float(np.percentile(self._require_rtts("p95_rtt"), 95.0))
+        return float(percentile(self._require_rtts("p95_rtt"), 95.0))
 
     def fraction_above(self, threshold_s: float) -> float:
         """Fraction of users whose RTT exceeds ``threshold_s``.

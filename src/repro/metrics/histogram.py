@@ -2,11 +2,10 @@
 
 :class:`Histogram` is the Prometheus-style cumulative-bucket shape: a
 fixed, sorted bucket boundary list chosen at construction, O(1) memory
-regardless of sample count, and quantiles estimated by linear
-interpolation inside the winning bucket.  That trades exactness (the
-list-backed :class:`~repro.metrics.latency.LatencyTracker` keeps every
-sample) for bounded memory on million-sample runs and a lossless
-text-exposition export.
+regardless of sample count, and :func:`~repro.metrics.stats.percentile`'s
+nearest rank at bucket resolution.  That trades exactness (the list-backed
+:class:`~repro.metrics.latency.LatencyTracker` keeps every sample) for
+bounded memory on million-sample runs and a lossless text-exposition export.
 
 :class:`MetricFamily` adds the labels dimension: one name, a fixed label
 schema, and one child metric per observed label-value combination —
@@ -28,7 +27,7 @@ DEFAULT_LATENCY_BUCKETS = (
 
 
 class Histogram:
-    """Cumulative fixed-bucket histogram with interpolated quantiles."""
+    """Cumulative fixed-bucket histogram with nearest-rank quantiles."""
 
     def __init__(self, name: str = "histogram",
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
@@ -50,8 +49,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one sample."""
         value = float(value)
-        if value < 0:
-            raise ValueError(f"negative sample: {value}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"sample not finite and >= 0: {value}")
         self.count += 1
         self.sum += value
         if value > self.max:
@@ -79,25 +78,18 @@ class Histogram:
         return out
 
     def percentile(self, q: float) -> float:
-        """Estimate the ``q``-th percentile (0-100) by bucket interpolation.
-
-        Samples in the overflow bucket clamp to the largest finite bound
-        (consistent with Prometheus ``histogram_quantile``).
+        """The ``q``-th percentile (0-100) by nearest rank, at bucket
+        resolution: the upper bound of the bucket holding the
+        ``ceil(q/100 * n)``-th smallest sample, capped at the observed
+        max (which also answers for the overflow bucket); 0.0 when empty.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0,100], got {q}")
         if self.count == 0:
             return 0.0
-        rank = q / 100.0 * self.count
-        cumulative = 0
-        lower = 0.0
-        for bound, count in zip(self.bounds, self._counts):
-            if cumulative + count >= rank and count > 0:
-                fraction = (rank - cumulative) / count
-                return lower + (bound - lower) * min(1.0, max(0.0, fraction))
-            cumulative += count
-            lower = bound
-        return min(self.max, float("inf")) if self._counts[-1] else self.bounds[-1]
+        rank = max(1, math.ceil(q / 100.0 * self.count))
+        return next(min(bound, self.max) for bound, cumulative
+                    in self.bucket_counts() if cumulative >= rank)
 
     def summary(self) -> Dict[str, float]:
         """The p50/p95/p99/max/count/sum/mean roll-up dashboards want."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List
 
@@ -16,8 +17,8 @@ class LatencyTracker:
         self.samples: List[float] = []
 
     def record(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative latency sample: {seconds}")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"latency sample not finite and >= 0: {seconds}")
         self.samples.append(float(seconds))
 
     def record_span(self, start: float, end: float) -> None:

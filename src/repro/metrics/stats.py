@@ -1,7 +1,9 @@
-"""Summary statistics with confidence intervals."""
+"""Summary statistics with confidence intervals, and :func:`percentile`,
+the one quantile definition every report and controller uses."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -30,21 +32,37 @@ class Summary:
         )
 
 
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of an already sorted, non-empty sample."""
+    return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
+
+
+def percentile(values: Sequence[float], q: float, default: float = 0.0) -> float:
+    """The ``q``-th percentile (0..100) by nearest rank (Hyndman & Fan
+    type 1), ``default`` when empty: the ``ceil(q/100 * n)``-th smallest
+    sample, returned unchanged (on ``[1, 2, 3, 4]``, p50 = 2, p95 = 4)."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile out of range: {q}")
+    if len(values) == 0:
+        return default
+    return _nearest_rank(sorted(values), q)
+
+
 def summarize(values: Sequence[float]) -> Summary:
     """Compute a :class:`Summary` of ``values``; raises on an empty sample."""
     if len(values) == 0:
         raise ValueError("cannot summarize an empty sample")
     array = np.asarray(values, dtype=float)
-    p50, p90, p95, p99 = np.percentile(array, [50.0, 90.0, 95.0, 99.0])
+    ordered = np.sort(array)
     return Summary(
         count=int(array.size),
         mean=float(array.mean()),
         std=float(array.std(ddof=1)) if array.size > 1 else 0.0,
         minimum=float(array.min()),
-        p50=float(p50),
-        p90=float(p90),
-        p95=float(p95),
-        p99=float(p99),
+        p50=float(_nearest_rank(ordered, 50.0)),
+        p90=float(_nearest_rank(ordered, 90.0)),
+        p95=float(_nearest_rank(ordered, 95.0)),
+        p99=float(_nearest_rank(ordered, 99.0)),
         maximum=float(array.max()),
     )
 
@@ -56,7 +74,8 @@ def bootstrap_ci(
     statistic=np.mean,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for ``statistic``.
+    """Percentile-bootstrap confidence interval for ``statistic``, its
+    endpoints the nearest-rank tail percentiles of the resampled estimates.
 
     Deterministic when an explicit ``rng`` is passed.
     """
@@ -71,6 +90,8 @@ def bootstrap_ci(
     for i in range(n_resamples):
         resample = rng.choice(array, size=array.size, replace=True)
         estimates[i] = statistic(resample)
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.percentile(estimates, [100.0 * tail, 100.0 * (1.0 - tail)])
-    return float(low), float(high)
+    # In percent, so that 0.9/0.95/0.99 give exact tails and exact ranks.
+    tail = (100.0 - 100.0 * confidence) / 2.0
+    estimates.sort()
+    return (float(_nearest_rank(estimates, tail)),
+            float(_nearest_rank(estimates, 100.0 - tail)))

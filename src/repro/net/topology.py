@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional
 
 from repro.net.geo import GeoPoint
 from repro.net.latency import fiber_delay
@@ -33,15 +32,15 @@ class Topology:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.graph = nx.Graph()
         self.sites: Dict[str, Site] = {}
-        self._links: Dict[Tuple[str, str], Link] = {}
+        #: site -> {neighbour: the link from site to neighbour}
+        self._links: Dict[str, Dict[str, Link]] = {}
 
     def add_site(self, site: Site) -> Site:
         if site.name in self.sites:
             raise ValueError(f"duplicate site: {site.name!r}")
         self.sites[site.name] = site
-        self.graph.add_node(site.name)
+        self._links[site.name] = {}
         return site
 
     def connect(
@@ -59,24 +58,37 @@ class Topology:
                 raise KeyError(f"unknown site: {name!r}")
         if prop_delay is None:
             prop_delay = fiber_delay(self.sites[a].geo, self.sites[b].geo, stretch)
-        forward = Link(self.sim, rate_bps, prop_delay, name=f"{a}->{b}", **link_kwargs)
-        backward = Link(self.sim, rate_bps, prop_delay, name=f"{b}->{a}", **link_kwargs)
-        self._links[(a, b)] = forward
-        self._links[(b, a)] = backward
-        self.graph.add_edge(a, b, delay=prop_delay, rate=rate_bps)
+        self._links[a][b] = Link(self.sim, rate_bps, prop_delay,
+                                 name=f"{a}->{b}", **link_kwargs)
+        self._links[b][a] = Link(self.sim, rate_bps, prop_delay,
+                                 name=f"{b}->{a}", **link_kwargs)
 
     def link(self, a: str, b: str) -> Link:
         try:
-            return self._links[(a, b)]
+            return self._links[a][b]
         except KeyError:
             raise KeyError(f"no link {a!r} -> {b!r}") from None
 
     def shortest_path(self, a: str, b: str) -> List[str]:
-        """Minimum-propagation-delay route between two sites."""
-        try:
-            return nx.shortest_path(self.graph, a, b, weight="delay")
-        except nx.NetworkXNoPath:
-            raise ValueError(f"no route between {a!r} and {b!r}") from None
+        """Minimum-propagation-delay route between two sites (Dijkstra);
+        equal-delay ties go to the route with fewer hops.  Raises
+        ``KeyError`` for an unknown site, ``ValueError`` with no route."""
+        for name in (a, b):
+            if name not in self.sites:
+                raise KeyError(f"unknown site: {name!r}")
+        frontier = [(0.0, 0, [a])]  # (delay, hops, route)
+        settled = set()
+        while frontier:
+            delay, hops, route = heapq.heappop(frontier)
+            site = route[-1]
+            if site == b:
+                return route
+            if site not in settled:
+                settled.add(site)
+                for neighbour, link in self._links[site].items():
+                    heapq.heappush(frontier, (delay + link.prop_delay,
+                                              hops + 1, route + [neighbour]))
+        raise ValueError(f"no route between {a!r} and {b!r}")
 
     def path_propagation_delay(self, a: str, b: str) -> float:
         """Sum of propagation delays along the best route (no queueing)."""

@@ -53,7 +53,7 @@ from repro.obs.report import (
     MotionToPhotonReport,
     TraceSummary,
 )
-from repro.obs.signals import CounterRate, SampleWindow, percentile
+from repro.obs.signals import CounterRate, SampleWindow
 from repro.obs.span import (
     MTP_STAGES,
     NOOP_CONTEXT,
@@ -74,7 +74,6 @@ __all__ = [
     "SampleWindow",
     "STATE_CODES",
     "WARNING",
-    "percentile",
     "MTP_STAGES",
     "NOOP_CONTEXT",
     "NOOP_SPAN",

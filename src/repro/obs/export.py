@@ -65,7 +65,8 @@ def prometheus_text(registry: MetricsRegistry,
     """Render the registry in the Prometheus text exposition format.
 
     Counters and gauges become single samples; trackers become
-    ``{quantile=...}``-labeled summaries; histograms (plain and labeled
+    ``{quantile=...}``-labeled summaries (nearest rank, as everywhere:
+    :func:`repro.metrics.stats.percentile`); histograms (plain and labeled
     families) become cumulative ``_bucket`` series ending at ``+Inf``.
     Metrics described via ``registry.describe`` (or families built with
     ``help_text=``) get a ``# HELP`` line ahead of their ``# TYPE``.

@@ -29,7 +29,8 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.qoe import InteractionQoeModel
-from repro.obs.signals import SampleWindow, percentile
+from repro.metrics.stats import percentile
+from repro.obs.signals import SampleWindow
 from repro.sickness.conflict import ExposureConfig, SensoryConflictModel
 from repro.sickness.susceptibility import (UserTraits, susceptibility_of,
                                            susceptibility_system)

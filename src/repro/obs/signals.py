@@ -10,7 +10,8 @@ cheap cursors that never copy or mutate the underlying metric:
 
 * :class:`SampleWindow` — a cursor over a growing sample list; each
   :meth:`~SampleWindow.poll` returns the samples recorded since the
-  previous poll.
+  previous poll, so a windowed p95 is ``percentile(window.poll(), 95.0)``
+  (:func:`repro.metrics.stats.percentile`).
 * :class:`CounterRate` — finite-difference rate of a monotonically
   increasing counter between polls.
 
@@ -22,33 +23,12 @@ the obs layer free of sync-layer imports.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Sequence
 
 __all__ = [
     "CounterRate",
     "SampleWindow",
-    "percentile",
 ]
-
-
-def percentile(values: Sequence[float], q: float, default: float = 0.0) -> float:
-    """The ``q``-th percentile (0..100) by nearest rank, ``default`` when
-    empty: the ``ceil(q/100 * n)``-th smallest sample, so the result is
-    always one of ``values``.
-
-    This is not the convention of :func:`repro.metrics.stats.summarize`,
-    which interpolates linearly between samples (numpy's default): on
-    ``[1, 2, 3, 4]`` this gives p50 = 2 and p95 = 4, ``summarize`` gives
-    2.5 and 3.85.  The SLO, scoreboard and autoscaler fingerprints are
-    computed with this definition."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile out of range: {q}")
-    if not values:
-        return default
-    ordered = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
-    return ordered[rank]
 
 
 class SampleWindow:
@@ -74,10 +54,6 @@ class SampleWindow:
         fresh = list(samples[self._cursor:])
         self._cursor = len(samples)
         return fresh
-
-    def poll_percentile(self, q: float, default: float = 0.0) -> float:
-        """Convenience: :meth:`poll` reduced to one percentile."""
-        return percentile(self.poll(), q, default)
 
 
 class CounterRate:

@@ -31,7 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.signals import SampleWindow, percentile
+from repro.metrics.stats import percentile
+from repro.obs.signals import SampleWindow
 
 __all__ = [
     "HEALTHY",

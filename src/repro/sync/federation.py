@@ -75,7 +75,6 @@ from repro.net.geo import CITY_REGIONS, WORLD_CITIES
 from repro.net.latency import WanLatencyModel
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.sensing.quantize import QuantizationConfig
 from repro.simkit.engine import Simulator
 from repro.sync.client import SyncClient
 from repro.sync.delta import OWNER_LOCAL, BatchDeltaEncoder
@@ -84,7 +83,6 @@ from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 
-_QUANT = QuantizationConfig()
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: Wire bytes per subscriber-digest entry: 8-byte id hash + 3 x 4-byte
@@ -97,35 +95,29 @@ class ShardDelta:
     """One relay message between shards: delta states + subscriber digest.
 
     ``states``/``removed`` are the delta stream of source-homed entities
-    relevant to the destination's subscribers; ``subscribers`` is the
-    source shard's home-subscriber position digest (the reverse relay's
-    interest subjects).  ``trace`` maps traced entity ids to their span
-    contexts — out-of-band observability bookkeeping, no wire bytes.
+    relevant to the destination's subscribers, ``cached_states_bytes``
+    their wire size (from the world's cached per-slot sizes);
+    ``subscribers`` is the source shard's home-subscriber position digest
+    (the reverse relay's interest subjects).  ``trace`` maps traced
+    entity ids to their span contexts — out-of-band observability
+    bookkeeping, no wire bytes.
     """
 
     src_site: str
     dst_site: str
     seq: int
+    cached_states_bytes: int
     states: List[Any] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
     subscribers: Dict[str, np.ndarray] = field(default_factory=dict)
     full: bool = False
     trace: Optional[Dict[str, Any]] = None
-    #: Precomputed state-payload bytes (the batched relay sums the
-    #: world's cached per-slot wire sizes in one reduction); None falls
-    #: back to the per-state sum, which is equal by construction.
-    cached_states_bytes: Optional[int] = None
 
     @property
     def size_bytes(self) -> int:
-        size = HEADER_BYTES
-        if self.cached_states_bytes is not None:
-            size += self.cached_states_bytes
-        else:
-            size += sum(state.wire_bytes(_QUANT) for state in self.states)
-        size += 8 * len(self.removed)
-        size += DIGEST_ENTRY_BYTES * len(self.subscribers)
-        return size
+        return (HEADER_BYTES + self.cached_states_bytes
+                + 8 * len(self.removed)
+                + DIGEST_ENTRY_BYTES * len(self.subscribers))
 
 
 class ShardRelay:
@@ -803,10 +795,9 @@ class ShardedSyncService:
             if states or removed_lists[j] or digest:
                 sent[i] = relays[i].send_delta(ShardDelta(
                     src_site, relays[i].dst_site, relays[i].seq,
+                    int(world.wire_sizes[sent_slots].sum()),
                     states, removed_lists[j], dict(digest),
-                    full=bool(full_flags[j]),
-                    cached_states_bytes=int(
-                        world.wire_sizes[sent_slots].sum())))
+                    full=bool(full_flags[j])))
         return sent
 
     def _relay_process(self, relays: List[ShardRelay], duration: float):

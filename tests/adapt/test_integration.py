@@ -14,8 +14,8 @@ import pytest
 
 from repro.adapt import AdaptConfig, AdaptationController, federation_knobs
 from repro.cloud.regions import RegionalPlan
+from repro.metrics.stats import percentile
 from repro.obs.scoreboard import QoeScoreboard
-from repro.obs.signals import percentile
 from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService
 from repro.workload.traces import SeatedMotion

@@ -10,6 +10,7 @@ from repro.metrics import (
     MetricFamily,
     MetricsRegistry,
     label_string,
+    percentile,
 )
 
 
@@ -40,18 +41,53 @@ def test_histogram_cumulative_buckets_and_overflow():
         histogram.observe(-0.1)
 
 
-def test_histogram_percentiles_interpolate():
+def test_histogram_percentiles_nearest_rank():
     histogram = Histogram(buckets=(1.0, 2.0, 4.0))
     for value in (0.5, 1.5, 1.5, 3.0):
         histogram.observe(value)
-    assert 0.0 < histogram.percentile(25) <= 1.0
-    assert 1.0 <= histogram.percentile(60) <= 2.0
+    # Rank ceil(q/100 * 4): the upper bound of the bucket holding it,
+    # capped at the observed max.
+    assert histogram.percentile(0) == 1.0
+    assert histogram.percentile(25) == 1.0
+    assert histogram.percentile(60) == 2.0
+    assert histogram.percentile(75) == 2.0
+    assert histogram.percentile(95) == 3.0
     summary = histogram.summary()
     assert summary["count"] == 4.0
     assert summary["p50"] <= summary["p95"] <= summary["p99"]
     assert Histogram().percentile(50) == 0.0  # empty
     with pytest.raises(ValueError):
         histogram.percentile(101)
+
+
+def test_histogram_overflow_percentile_is_the_observed_max():
+    histogram = Histogram(buckets=(0.01, 0.1))
+    for value in (0.005, 0.05, 7.5):
+        histogram.observe(value)
+    assert histogram.percentile(50) == 0.1
+    assert histogram.percentile(99) == 7.5
+    # Below the largest finite bound, the max caps the bucket bound.
+    small = Histogram(buckets=(0.01, 0.1))
+    small.observe(0.02)
+    assert small.percentile(100) == 0.02
+
+
+def test_histogram_percentile_agrees_with_sample_percentile_on_bounds():
+    bounds = (1.0, 2.0, 3.0, 4.0, 5.0)
+    values = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0]
+    histogram = Histogram(buckets=bounds)
+    for value in values:
+        histogram.observe(value)
+    for q in (0, 10, 25, 50, 62.5, 75, 90, 95, 99, 100):
+        assert histogram.percentile(q) == percentile(values, q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_histogram_rejects_non_finite_samples(bad):
+    histogram = Histogram()
+    with pytest.raises(ValueError):
+        histogram.observe(bad)
+    assert histogram.count == 0
 
 
 def test_default_buckets_resolve_the_interaction_budget():

@@ -1,5 +1,7 @@
 """Unit tests for latency trackers, stage budgets, QoE models, registry."""
 
+import math
+
 import pytest
 
 from repro.metrics import (
@@ -26,6 +28,16 @@ def test_latency_tracker_rejects_negative():
         tracker.record(-0.1)
     with pytest.raises(ValueError):
         tracker.record_span(5.0, 4.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_latency_tracker_rejects_non_finite(bad):
+    tracker = LatencyTracker()
+    with pytest.raises(ValueError):
+        tracker.record(bad)
+    with pytest.raises(ValueError):
+        tracker.record_span(0.0, bad)
+    assert tracker.samples == []
 
 
 def test_latency_tracker_fraction_above():

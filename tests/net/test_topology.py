@@ -1,7 +1,13 @@
 """Unit tests for nodes, topology, routing, and path channels."""
 
-import pytest
+import itertools
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import build_unit_case
 from repro.net.geo import WORLD_CITIES, GeoPoint
 from repro.net.node import Node, connect
 from repro.net.packet import Packet
@@ -78,6 +84,75 @@ def test_no_route_raises():
     topo.add_site(Site("y", GeoPoint(1, 1)))
     with pytest.raises(ValueError):
         topo.shortest_path("x", "y")
+
+
+def test_shortest_path_unknown_site_raises_key_error():
+    sim = Simulator()
+    topo = build_triangle(sim)
+    with pytest.raises(KeyError):
+        topo.shortest_path("cwb", "nowhere")
+    with pytest.raises(KeyError):
+        topo.channel("nowhere", "cwb")
+
+
+def _oracle_graph(topo):
+    """The topology as a networkx graph weighted by propagation delay."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.sites)
+    for a, links in topo._links.items():
+        for b, link in links.items():
+            graph.add_edge(a, b, delay=link.prop_delay)
+    return graph
+
+
+def _route_delay(topo, route):
+    return sum(topo.link(u, v).prop_delay for u, v in zip(route, route[1:]))
+
+
+# Small graphs over few integer delays, so equal-delay ties are common
+# and every path sum is exact in floating point.
+_EDGES = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([0, 1, 2, 3])),
+    max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_sites=st.integers(1, 7), edges=_EDGES)
+def test_shortest_path_matches_networkx_oracle(n_sites, edges):
+    topo = Topology(Simulator())
+    for i in range(n_sites):
+        topo.add_site(Site(f"s{i}", GeoPoint(0, 0)))
+    for a, b, delay in edges:
+        if a < n_sites and b < n_sites and a != b:
+            topo.connect(f"s{a}", f"s{b}", rate_bps=1e9, prop_delay=float(delay))
+    graph = _oracle_graph(topo)
+    for a, b in itertools.product(topo.sites, repeat=2):
+        if not nx.has_path(graph, a, b):
+            with pytest.raises(ValueError):
+                topo.shortest_path(a, b)
+            continue
+        route = topo.shortest_path(a, b)
+        assert route[0] == a and route[-1] == b
+        best = nx.shortest_path_length(graph, a, b, weight="delay")
+        assert _route_delay(topo, route) == best
+        shortest = list(nx.all_shortest_paths(graph, a, b, weight="delay"))
+        assert len(route) == min(map(len, shortest))  # ties: fewest hops
+        if len(shortest) == 1:
+            assert route == shortest[0]
+
+
+def test_unit_case_routes_match_networkx():
+    # The cloud site shares HKUST CWB's coordinates, so cwb--cloud has
+    # zero delay and gz reaches either of them over two equal-delay
+    # routes.  Ties go to fewer hops, the direct edge here, which is the
+    # route networkx picks too.
+    topo = build_unit_case(Simulator(seed=1)).topology
+    graph = _oracle_graph(topo)
+    for a, b in itertools.product(topo.sites, repeat=2):
+        assert topo.shortest_path(a, b) == nx.shortest_path(
+            graph, a, b, weight="delay")
+    assert topo.shortest_path("gz", "cwb") == ["gz", "cwb"]
+    assert topo.shortest_path("cwb", "gz") == ["cwb", "gz"]
 
 
 def test_path_channel_end_to_end_delay():

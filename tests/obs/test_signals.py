@@ -3,7 +3,8 @@
 import pytest
 
 from repro.metrics.latency import LatencyTracker
-from repro.obs.signals import CounterRate, SampleWindow, percentile
+from repro.metrics.stats import percentile
+from repro.obs.signals import CounterRate, SampleWindow
 
 pytestmark = pytest.mark.obs
 
@@ -29,14 +30,14 @@ def test_sample_window_resets_on_shrunk_source():
     assert window.poll() == [7.0]
 
 
-def test_sample_window_percentile_convenience():
+def test_sample_window_poll_feeds_percentile():
     tracker = LatencyTracker()
     window = SampleWindow(lambda: tracker.samples)
     for value in (0.01, 0.02, 0.5):
         tracker.record(value)
-    assert window.poll_percentile(95.0) == 0.5
+    assert percentile(window.poll(), 95.0) == 0.5
     # Window drained: the default answers, not stale data.
-    assert window.poll_percentile(95.0, default=-1.0) == -1.0
+    assert percentile(window.poll(), 95.0, default=-1.0) == -1.0
 
 
 def test_counter_rate_finite_difference():
@@ -59,12 +60,3 @@ def test_counter_rate_handles_reset_and_zero_dt():
     value["v"] = 30.0
     assert rate.poll(3.0) == pytest.approx(10.0)
 
-
-def test_percentile_nearest_rank_and_validation():
-    values = [5.0, 1.0, 3.0]
-    assert percentile(values, 0.0) == 1.0
-    assert percentile(values, 50.0) == 3.0
-    assert percentile(values, 100.0) == 5.0
-    assert percentile([], 95.0, default=2.5) == 2.5
-    with pytest.raises(ValueError):
-        percentile(values, 101.0)
